@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/metrics.h"
-
 namespace owlqr {
 
 std::string AnswerCacheKey(const std::string& plan_key,
@@ -19,103 +17,6 @@ std::string AnswerCacheKey(const std::string& plan_key,
   key += "|d";
   key += std::to_string(limits.deadline_ms);
   return key;
-}
-
-AnswerCache::AnswerCache(size_t capacity, size_t max_bytes,
-                         MemoryBudget* budget)
-    : capacity_(capacity), max_bytes_(max_bytes), budget_(budget) {}
-
-AnswerCache::~AnswerCache() { Clear(); }
-
-std::shared_ptr<const ExecuteResult> AnswerCache::Get(const std::string& key) {
-  if (capacity_ == 0) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) {
-    ++stats_.misses;
-    OWLQR_COUNT("engine/answer_cache_miss", 1);
-    return nullptr;
-  }
-  entries_.splice(entries_.begin(), entries_, it->second);
-  ++stats_.hits;
-  OWLQR_COUNT("engine/answer_cache_hit", 1);
-  return it->second->result;
-}
-
-void AnswerCache::Put(const std::string& key, uint64_t snapshot_version,
-                      std::shared_ptr<const ExecuteResult> result) {
-  if (capacity_ == 0 || result == nullptr) return;
-  const size_t bytes = result->MemoryBytes();
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    // Racing publishers of the same key (two leaders can exist for one key
-    // when coalescing is off): the old entry is replaced, charge released.
-    if (budget_ != nullptr) budget_->Release(it->second->bytes);
-    bytes_ -= it->second->bytes;
-    entries_.erase(it->second);
-    by_key_.erase(it);
-  }
-  if (budget_ != nullptr) budget_->Charge(bytes);
-  bytes_ += bytes;
-  entries_.push_front(Entry{key, snapshot_version, std::move(result), bytes});
-  by_key_[key] = entries_.begin();
-  ++stats_.insertions;
-  OWLQR_COUNT("engine/answer_cache_insert", 1);
-  while (entries_.size() > capacity_) EvictBack();
-  if (max_bytes_ > 0) {
-    while (bytes_ > max_bytes_ && entries_.size() > 1) EvictBack();
-  }
-  // Budget pressure sheds cached answers LRU-first: executions' live arenas
-  // matter more than our copies, and the entry just published goes last.
-  if (budget_ != nullptr && budget_->limit() > 0) {
-    while (budget_->used() > budget_->limit() && !entries_.empty()) {
-      EvictBack();
-    }
-  }
-}
-
-void AnswerCache::InvalidateBelow(uint64_t version) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->version >= version) {
-      ++it;
-      continue;
-    }
-    if (budget_ != nullptr) budget_->Release(it->bytes);
-    bytes_ -= it->bytes;
-    by_key_.erase(it->key);
-    it = entries_.erase(it);
-    ++stats_.invalidated;
-  }
-}
-
-void AnswerCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (!entries_.empty()) EvictBack();
-}
-
-size_t AnswerCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-size_t AnswerCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-AnswerCache::Stats AnswerCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void AnswerCache::EvictBack() {
-  if (budget_ != nullptr) budget_->Release(entries_.back().bytes);
-  bytes_ -= entries_.back().bytes;
-  by_key_.erase(entries_.back().key);
-  entries_.pop_back();
-  ++stats_.evictions;
 }
 
 InFlightTable::Ticket InFlightTable::JoinOrLead(const std::string& key) {

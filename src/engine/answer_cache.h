@@ -12,12 +12,12 @@
 //   AnswerCache    resolve-before-compute memoization (MemoDB-style):
 //                  Engine::Execute consults the cache before admission and
 //                  publishes the result of any clean complete run after.
-//                  Bounded LRU by entry count and by its own byte cap, with
-//                  every entry's bytes charged against the engine memory
-//                  budget — so cached answers compete with executions and
-//                  retained incremental state for the same budget and are
-//                  shed LRU-first under pressure, exactly like
-//                  IncrementalStateCache.
+//                  An LruCache (engine/lru_cache.h) bounded by entry count
+//                  and by its own byte cap, with every entry's bytes charged
+//                  against the engine memory budget — so cached answers
+//                  compete with executions and retained incremental state
+//                  for the same budget and are shed LRU-first under
+//                  pressure.
 //
 //   InFlightTable  request coalescing (KataGo-NNEvaluator-style): the first
 //                  request for a key becomes the leader and runs; identical
@@ -40,14 +40,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
+#include "engine/lru_cache.h"
 #include "ndl/evaluator.h"
 #include "util/budget.h"
+#include "util/metrics.h"
 
 namespace owlqr {
 
@@ -62,31 +64,40 @@ std::string AnswerCacheKey(const std::string& plan_key,
                            uint64_t snapshot_version,
                            const EvaluatorLimits& limits);
 
-// Bounded, budget-charged LRU cache of complete execution results.
+// Bounded, budget-charged LRU cache of complete execution results: the
+// LruCache policy, plus the per-entry snapshot version InvalidateBelow
+// sweeps by.
 class AnswerCache {
- public:
-  struct Stats {
-    long hits = 0;
-    long misses = 0;
-    long insertions = 0;
-    long evictions = 0;    // Capacity / byte-cap / budget-pressure sheds.
-    long invalidated = 0;  // Entries dropped by InvalidateBelow.
+  // One memoized result and the snapshot version it answers for.
+  struct Entry {
+    uint64_t version = 0;
+    std::shared_ptr<const ExecuteResult> result;
+    size_t MemoryBytes() const { return result->MemoryBytes(); }
   };
+
+ public:
+  // evictions counts capacity / byte-cap / budget-pressure sheds and Clear;
+  // invalidated counts entries dropped by InvalidateBelow.
+  using Stats = LruCache<Entry>::Stats;
 
   // `capacity` == 0 disables the cache entirely (Get always misses, Put is
   // a no-op).  `max_bytes` == 0 leaves the cache bounded only by `capacity`
   // and budget pressure.  `budget` (nullable) is charged for every resident
   // entry's bytes.
-  AnswerCache(size_t capacity, size_t max_bytes, MemoryBudget* budget);
-  ~AnswerCache();
+  AnswerCache(size_t capacity, size_t max_bytes, MemoryBudget* budget)
+      : lru_(capacity, max_bytes, budget) {}
 
-  AnswerCache(const AnswerCache&) = delete;
-  AnswerCache& operator=(const AnswerCache&) = delete;
-
-  bool enabled() const { return capacity_ > 0; }
+  bool enabled() const { return lru_.capacity() > 0; }
 
   // Returns the cached result (refreshing its recency) or null on a miss.
-  std::shared_ptr<const ExecuteResult> Get(const std::string& key);
+  std::shared_ptr<const ExecuteResult> Get(const std::string& key) {
+    if (!enabled()) return nullptr;
+    std::shared_ptr<const ExecuteResult> hit = lru_.Get(key).result;
+    OWLQR_COUNT(hit != nullptr ? "engine/answer_cache_hit"
+                               : "engine/answer_cache_miss",
+                1);
+    return hit;
+  }
 
   // Installs `result` under `key` as most-recently-used, charging its
   // MemoryBytes() to the budget, then evicts LRU-first past the entry
@@ -95,35 +106,26 @@ class AnswerCache {
   // result is clean and complete; replacing an existing key releases the
   // old entry's charge.
   void Put(const std::string& key, uint64_t snapshot_version,
-           std::shared_ptr<const ExecuteResult> result);
+           std::shared_ptr<const ExecuteResult> result) {
+    if (!enabled() || result == nullptr) return;
+    lru_.Put(key, Entry{snapshot_version, std::move(result)});
+    OWLQR_COUNT("engine/answer_cache_insert", 1);
+  }
 
   // Drops every entry answering for a snapshot version < `version`,
   // releasing its charge.  Called on ApplyFacts with the new head version.
-  void InvalidateBelow(uint64_t version);
+  void InvalidateBelow(uint64_t version) {
+    lru_.EraseIf([version](const Entry& e) { return e.version < version; });
+  }
 
-  void Clear();
-  size_t size() const;
-  size_t bytes() const;
-  size_t capacity() const { return capacity_; }
-  Stats stats() const;
+  void Clear() { lru_.Clear(); }
+  size_t size() const { return lru_.size(); }
+  size_t bytes() const { return lru_.bytes(); }
+  size_t capacity() const { return lru_.capacity(); }
+  Stats stats() const { return lru_.stats(); }
 
  private:
-  struct Entry {
-    std::string key;
-    uint64_t version = 0;
-    std::shared_ptr<const ExecuteResult> result;
-    size_t bytes = 0;
-  };
-  void EvictBack();  // Requires mutex_ held.
-
-  const size_t capacity_;
-  const size_t max_bytes_;
-  MemoryBudget* const budget_;  // Nullable (untracked).
-  mutable std::mutex mutex_;
-  std::list<Entry> entries_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> by_key_;
-  size_t bytes_ = 0;  // Sum of resident entry bytes.
-  Stats stats_;
+  LruCache<Entry> lru_;
 };
 
 // The in-flight executions, keyed like the answer cache.  One leader per

@@ -17,82 +17,10 @@ TBox NormalizedCopy(const TBox& tbox) {
   return copy;
 }
 
+// Plans whose retained IDB state is kept between incremental executions.
+constexpr size_t kIncrementalStateCapacity = 8;
+
 }  // namespace
-
-IncrementalStateCache::IncrementalStateCache(size_t capacity,
-                                             MemoryBudget* budget)
-    : capacity_(capacity), budget_(budget) {}
-
-IncrementalStateCache::~IncrementalStateCache() { Clear(); }
-
-IncrementalStateCache::Checkout IncrementalStateCache::Take(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_key_.find(key);
-  if (it == by_key_.end()) return {};
-  Checkout out;
-  out.state = std::move(it->second->state);
-  out.charged_bytes = it->second->bytes;
-  entries_.erase(it->second);
-  by_key_.erase(it);
-  return out;
-}
-
-void IncrementalStateCache::Publish(const std::string& key,
-                                    RetainedIdbState state,
-                                    size_t charged_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const size_t bytes = state.MemoryBytes();
-  // Settle the caller's outstanding charge to the state's published size.
-  if (budget_ != nullptr) {
-    if (bytes > charged_bytes) {
-      budget_->Charge(bytes - charged_bytes);
-    } else if (charged_bytes > bytes) {
-      budget_->Release(charged_bytes - bytes);
-    }
-  }
-  auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
-    // Racing publishers of the same key: the loser's entry is replaced and
-    // its charge released.
-    if (budget_ != nullptr) budget_->Release(it->second->bytes);
-    entries_.erase(it->second);
-    by_key_.erase(it);
-  }
-  entries_.push_front(Entry{key, std::move(state), bytes});
-  by_key_[key] = entries_.begin();
-  while (entries_.size() > capacity_) EvictBack();
-  // Budget pressure sheds retained state LRU-first: executions' live
-  // arenas matter more than our cache, and the entry just published is the
-  // last to go.
-  if (budget_ != nullptr && budget_->limit() > 0) {
-    while (budget_->used() > budget_->limit() && !entries_.empty()) {
-      EvictBack();
-    }
-  }
-}
-
-void IncrementalStateCache::Discard(size_t charged_bytes) {
-  if (budget_ != nullptr && charged_bytes > 0) {
-    budget_->Release(charged_bytes);
-  }
-}
-
-void IncrementalStateCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (!entries_.empty()) EvictBack();
-}
-
-size_t IncrementalStateCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void IncrementalStateCache::EvictBack() {
-  if (budget_ != nullptr) budget_->Release(entries_.back().bytes);
-  by_key_.erase(entries_.back().key);
-  entries_.pop_back();
-}
 
 Engine::Engine(TBox normalized, std::shared_ptr<const DataSnapshot> snapshot,
                const EngineOptions& options)
@@ -102,7 +30,8 @@ Engine::Engine(TBox normalized, std::shared_ptr<const DataSnapshot> snapshot,
       cache_(options.plan_cache_capacity),
       snapshot_(std::move(snapshot)),
       governor_(options.governor),
-      incremental_(options.incremental_state_capacity, governor_.budget()),
+      incremental_(kIncrementalStateCapacity, /*max_bytes=*/0,
+                   governor_.budget()),
       answer_cache_(options.answer_cache_capacity,
                     options.answer_cache_max_bytes, governor_.budget()),
       coalesce_(options.coalesce),
@@ -349,9 +278,9 @@ ExecuteResult Engine::ExecuteGoverned(
   // Incremental maintenance only serves complete answer sets: a tuple/work
   // limit could truncate the retained state, which would then poison every
   // later delta run.
-  const bool want_incremental =
-      request.incremental && incremental_.capacity() > 0 &&
-      request.limits.max_generated_tuples <= 0 && request.limits.max_work <= 0;
+  const bool want_incremental = request.incremental &&
+                                request.limits.max_generated_tuples <= 0 &&
+                                request.limits.max_work <= 0;
   ExecuteResult result;
   if (want_incremental &&
       ExecuteIncremental(prepared, request, &snap, &result)) {
@@ -416,8 +345,7 @@ ExecuteResult Engine::ExecuteGoverned(
     result.partial = true;
   }
   if (capture.valid()) {
-    incremental_.Publish(prepared.cache_key(), std::move(capture),
-                         /*charged_bytes=*/0);
+    incremental_.Put(prepared.cache_key(), std::move(capture));
   }
   governor_.RecordOutcome(result.status.code(), degraded);
   return result;
@@ -427,10 +355,9 @@ bool Engine::ExecuteIncremental(const PreparedQuery& prepared,
                                 const ExecuteRequest& request,
                                 std::shared_ptr<const DataSnapshot>* snap,
                                 ExecuteResult* result) const {
-  IncrementalStateCache::Checkout checkout =
-      incremental_.Take(prepared.cache_key());
-  if (!checkout.state.valid()) return false;  // Miss: nothing charged.
-  if (checkout.state.version > (*snap)->version()) {
+  auto checkout = incremental_.Take(prepared.cache_key());
+  if (!checkout.value.valid()) return false;  // Miss: nothing charged.
+  if (checkout.value.version > (*snap)->version()) {
     // The retained state was captured on a snapshot newer than the one we
     // pinned (an ApplyFacts landed in between).  Versions are monotone, so
     // re-pinning forward reconverges; answers are still correct for the
@@ -438,11 +365,11 @@ bool Engine::ExecuteIncremental(const PreparedQuery& prepared,
     *snap = snapshot();
   }
   SnapshotDelta delta;
-  if (checkout.state.version > (*snap)->version() ||
-      !DeltaBetween(checkout.state.version, (*snap)->version(), &delta)) {
+  if (checkout.value.version > (*snap)->version() ||
+      !DeltaBetween(checkout.value.version, (*snap)->version(), &delta)) {
     // Version gap (log trimmed, or still ahead after re-pin): the state is
     // useless and its successor will be re-captured by the full run.
-    incremental_.Discard(checkout.charged_bytes);
+    governor_.budget()->Release(checkout.charged_bytes);
     return false;
   }
 
@@ -451,16 +378,16 @@ bool Engine::ExecuteIncremental(const PreparedQuery& prepared,
   Evaluator eval(prepared.program(), *snap);
   eval.set_join_order_hints(prepared.join_order_hints());
   eval.set_memory_account(&account);
-  *result = eval.RunDelta(request, delta, &checkout.state);
-  if (result->status.ok() && !result->partial && checkout.state.valid()) {
-    incremental_.Publish(prepared.cache_key(), std::move(checkout.state),
-                         checkout.charged_bytes);
+  *result = eval.RunDelta(request, delta, &checkout.value);
+  if (result->status.ok() && !result->partial && checkout.value.valid()) {
+    incremental_.Put(prepared.cache_key(), std::move(checkout.value),
+                     checkout.charged_bytes);
     return true;
   }
   // Aborted or otherwise incomplete: RunDelta already dropped the adopted
   // state (its arenas die with the evaluator), so release its charge and
   // let the caller fall back to a full evaluation.
-  incremental_.Discard(checkout.charged_bytes);
+  governor_.budget()->Release(checkout.charged_bytes);
   return false;
 }
 
@@ -597,8 +524,6 @@ Status Engine::Checkpoint() {
   std::lock_guard<std::mutex> apply_lock(apply_mutex_);
   return store_->Checkpoint(*snapshot(), *tbox_.vocabulary());
 }
-
-void Engine::ClearIncrementalState() const { incremental_.Clear(); }
 
 std::shared_ptr<const DataSnapshot> Engine::snapshot() const {
   std::lock_guard<std::mutex> lock(snapshot_mutex_);

@@ -19,8 +19,7 @@
 //                           version alive via shared_ptr and are unaffected.
 //
 // Nothing here aborts on bad input: Prepare reports unsupported query
-// shapes through PrepareResult::status (see ValidateOmqShape), unlike the
-// deprecated RewriteOmq path.
+// shapes through PrepareResult::status (see ValidateOmqShape).
 //
 // Lifetimes: the Vocabulary passed at construction must outlive the engine
 // (the TBox copy, cached programs and prepared queries all reference it);
@@ -29,12 +28,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 #include "core/rewriters.h"
 #include "core/rewriting_context.h"
@@ -44,6 +41,7 @@
 #include "data/table_store.h"
 #include "engine/answer_cache.h"
 #include "engine/governor.h"
+#include "engine/lru_cache.h"
 #include "engine/plan_cache.h"
 #include "ndl/evaluator.h"
 #include "ontology/tbox.h"
@@ -54,17 +52,13 @@
 namespace owlqr {
 
 struct EngineOptions {
-  // Bounded LRU capacity of the plan cache (number of prepared queries).
+  // Bounded LRU capacity of the plan cache (number of prepared queries);
+  // 0 disables it, so every Prepare rewrites.
   size_t plan_cache_capacity = 64;
   // Resource governance: memory budget, admission control, degradation
   // (engine/governor.h).  The defaults govern nothing (no memory limit, no
   // slot pool), preserving the ungoverned behaviour.
   GovernorOptions governor;
-  // Bounded LRU capacity of the retained-IDB-state cache behind
-  // ExecuteRequest::incremental (number of plans whose materialised state is
-  // kept between executions).  0 disables incremental maintenance entirely;
-  // every incremental request then falls back to full evaluation.
-  size_t incremental_state_capacity = 8;
   // Bounded LRU capacity of the cross-request answer cache (number of
   // memoized complete results, keyed by plan x snapshot version x limits).
   // 0 (the default) disables answer memoization: every Execute evaluates,
@@ -91,55 +85,6 @@ struct EngineOptions {
   // from the governor (half its memory limit), or loads everything when the
   // governor is untracked.
   size_t store_resident_bytes = 0;
-};
-
-// LRU cache of retained materialised IDB states, keyed by plan-cache key.
-// Each entry's bytes are charged against the engine memory budget for as
-// long as the entry lives (Publish charges, eviction / Discard / Clear
-// release), so retained state competes with executions for the same budget
-// and is shed LRU-first when the budget is over limit.
-//
-// Checkout REMOVES the entry (transferring its budget charge to the
-// caller), so one state is never adopted by two concurrent delta runs; the
-// winner publishes the updated state back, everyone else falls back to full
-// evaluation.  All methods are thread-safe.
-class IncrementalStateCache {
- public:
-  IncrementalStateCache(size_t capacity, MemoryBudget* budget);
-  ~IncrementalStateCache();
-
-  struct Checkout {
-    RetainedIdbState state;    // !valid() on a miss.
-    size_t charged_bytes = 0;  // Budget bytes now owed by the caller.
-  };
-  // Removes and returns the entry for `key`; the caller owes its charge
-  // until it calls Publish or Discard.
-  Checkout Take(const std::string& key);
-  // Installs `state` under `key` as most-recently-used, settling the
-  // caller's outstanding charge to the state's current size, then evicts:
-  // LRU past `capacity`, and LRU-first while the budget is over limit (the
-  // fresh entry itself is the last to go).
-  void Publish(const std::string& key, RetainedIdbState state,
-               size_t charged_bytes);
-  // Releases a checked-out charge whose state will not be published.
-  void Discard(size_t charged_bytes);
-  void Clear();
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::string key;
-    RetainedIdbState state;
-    size_t bytes = 0;
-  };
-  void EvictBack();  // Requires mutex_ held.
-
-  const size_t capacity_;
-  MemoryBudget* const budget_;  // Nullable (untracked).
-  mutable std::mutex mutex_;
-  std::list<Entry> entries_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> by_key_;
 };
 
 struct PrepareOptions {
@@ -254,7 +199,7 @@ class Engine {
 
   // Drops every retained incremental IDB state, releasing its memory-budget
   // charge.  Subsequent incremental executions re-seed from a full run.
-  void ClearIncrementalState() const;
+  void ClearIncrementalState() const { incremental_.Clear(); }
   size_t incremental_state_size() const { return incremental_.size(); }
 
   // Drops every memoized answer, releasing its memory-budget charge.
@@ -317,8 +262,8 @@ class Engine {
   // False when the range has been trimmed out of the bounded log (the
   // caller must fall back to full evaluation).
   bool DeltaBetween(uint64_t from, uint64_t to, SnapshotDelta* out) const;
-  // The incremental Execute path: checkout retained state, catch it up via
-  // RunDelta, publish it back.  False (with the checkout discarded) on any
+  // The incremental Execute path: take the retained state, catch it up via
+  // RunDelta, put it back.  False (with its charge released) on any
   // miss / version gap / abort, in which case the caller runs the full
   // path.  May re-pin `*snap` forward if the retained state is newer.
   bool ExecuteIncremental(const PreparedQuery& prepared,
@@ -364,9 +309,12 @@ class Engine {
   // Mutable because Execute is const (it mutates no engine-visible state;
   // the governor's slots/counters are bookkeeping).
   mutable QueryGovernor governor_;
-  // Retained IDB states for incremental execution; mutable for the same
-  // reason as the governor (a cache, not engine-visible semantics).
-  mutable IncrementalStateCache incremental_;
+  // Retained IDB states for incremental execution, keyed by plan-cache key
+  // and charged to the governor's budget while resident.  An execution
+  // Takes its plan's state (so no two delta runs ever adopt one state) and
+  // Puts the caught-up state back.  Mutable for the same reason as the
+  // governor (a cache, not engine-visible semantics).
+  mutable LruCache<RetainedIdbState> incremental_;
   // Cross-request answer memoization and in-flight coalescing (mutable for
   // the same reason: caches, not engine-visible semantics).
   mutable AnswerCache answer_cache_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/logging.h"
-
 namespace owlqr {
 
 PreparedQuery::PreparedQuery(NdlProgram program, RewriterKind kind,
@@ -122,51 +120,6 @@ std::string MakePlanCacheKey(uint64_t tbox_fingerprint,
   key += "|";
   key += CanonicalCqKey(query);
   return key;
-}
-
-PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
-  OWLQR_CHECK_MSG(capacity_ > 0, "plan cache capacity must be positive");
-}
-
-std::shared_ptr<const PreparedQuery> PlanCache::Get(const std::string& key,
-                                                    bool count_miss) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (count_miss) ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void PlanCache::Put(const std::string& key,
-                    std::shared_ptr<const PreparedQuery> plan) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(plan));
-  index_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lru_.size();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace owlqr

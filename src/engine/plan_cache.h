@@ -12,24 +12,20 @@
 // as shared_ptr, so a query evicted from the cache stays valid for callers
 // still holding it.
 //
-// The PlanCache is a bounded LRU keyed by
+// The PlanCache (an LruCache, engine/lru_cache.h) is keyed by
 //   (TBox fingerprint, rewriter kind, rewrite options, canonical CQ form)
 // serialized into one string; see MakePlanCacheKey.  The TBox fingerprint
 // makes plans from different ontologies (or an edited ontology) miss instead
 // of aliasing; the canonical CQ form makes alpha-renamed copies of the same
 // query hit.
 
-#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "core/rewriters.h"
 #include "cq/cq.h"
+#include "engine/lru_cache.h"
 #include "ndl/evaluator.h"
 #include "ndl/program.h"
 #include "ontology/tbox.h"
@@ -86,40 +82,10 @@ std::string MakePlanCacheKey(uint64_t tbox_fingerprint,
                              const ConjunctiveQuery& query, RewriterKind kind,
                              const RewriteOptions& options);
 
-// Bounded, thread-safe LRU cache of prepared queries.
-class PlanCache {
- public:
-  struct Stats {
-    long hits = 0;
-    long misses = 0;
-    long evictions = 0;
-  };
-
-  explicit PlanCache(size_t capacity);
-
-  // Returns the cached plan and refreshes its recency, or null on miss.
-  // `count_miss` is false for the double-checked lookup under the compile
-  // lock, so one logical prepare never counts two misses.
-  std::shared_ptr<const PreparedQuery> Get(const std::string& key,
-                                           bool count_miss = true);
-
-  // Inserts (or replaces) the plan under `key`, evicting the least recently
-  // used entry if the cache is over capacity.
-  void Put(const std::string& key, std::shared_ptr<const PreparedQuery> plan);
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  Stats stats() const;
-
- private:
-  using Entry = std::pair<std::string, std::shared_ptr<const PreparedQuery>>;
-
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
-};
+// The thread-safe LRU cache of prepared queries, bounded by entry count
+// alone.  Get's `count_miss` is false for the double-checked lookup
+// under the compile lock, so one logical prepare never counts two misses.
+using PlanCache = LruCache<std::shared_ptr<const PreparedQuery>>;
 
 }  // namespace owlqr
 

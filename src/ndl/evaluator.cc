@@ -2098,14 +2098,6 @@ std::vector<std::vector<int>> Evaluator::Evaluate(EvaluationStats* stats) {
   return answers;
 }
 
-std::vector<std::vector<int>> Evaluator::Relation(int predicate) {
-  {
-    JoinContext ctx;
-    Materialize(predicate, &ctx);
-  }
-  return preds_[predicate]->rows.ToTuples();
-}
-
 std::vector<std::vector<int>> Evaluator::EvaluateParallel(
     int num_threads, EvaluationStats* stats) {
   OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");

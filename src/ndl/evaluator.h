@@ -338,9 +338,6 @@ class Evaluator {
   std::vector<std::vector<int>> EvaluateParallel(
       int num_threads, EvaluationStats* stats = nullptr);
 
-  // Materialises (if needed) and returns one predicate's relation.
-  std::vector<std::vector<int>> Relation(int predicate);
-
  private:
   struct PredicateState {
     Rows rows;

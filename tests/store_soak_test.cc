@@ -194,6 +194,13 @@ TEST(StoreSoakTest, RestartChaosKeepsAnswersExactAcrossIncarnations) {
       }
     }
 
+    // Intern this incarnation's batch names before the executors start:
+    // the Vocabulary is not thread-safe, and they read names from it.
+    std::vector<FactBatch> batches;
+    for (int b = 0; b < kBatchesPerIncarnation; ++b) {
+      batches.push_back(MakeBatch(&inc, next_batch + b));
+    }
+
     std::atomic<bool> stop{false};
     std::atomic<int> verified{0};
     std::vector<std::thread> executors;
@@ -233,10 +240,7 @@ TEST(StoreSoakTest, RestartChaosKeepsAnswersExactAcrossIncarnations) {
       expected.Record(oracle_version, SingleShot(&oracle));
 
       uint64_t version = 0;
-      ASSERT_TRUE(inc.engine
-                      ->ApplyFactsOrError(MakeBatch(&inc, next_batch),
-                                          &version)
-                      .ok());
+      ASSERT_TRUE(inc.engine->ApplyFactsOrError(batches[b], &version).ok());
       ASSERT_EQ(version, oracle_version);
       acknowledged_version = version;
       ++next_batch;
