@@ -33,13 +33,14 @@ void BM_InlineAblation(benchmark::State& state) {
   auto configs = Table2Configs(DatasetScale());
   DataInstance data = GenerateDataset(&s.vocab, *s.tbox, configs[2]);
   EvaluationStats stats;
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = TupleBudget();
+  request.limits.max_work = 20 * TupleBudget();
   for (auto _ : state) {
-    EvaluatorLimits limits;
-    limits.max_generated_tuples = TupleBudget();
-    limits.max_work = 20 * TupleBudget();
-    Evaluator eval(program, data, limits);
-    auto answers = eval.Evaluate(&stats);
-    benchmark::DoNotOptimize(answers);
+    ExecuteResult result =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+    benchmark::DoNotOptimize(result.answers);
+    stats = result.stats;
   }
   state.counters["Clauses"] = static_cast<double>(program.num_clauses());
   state.counters["GeneratedTuples"] =

@@ -33,9 +33,10 @@ void BM_SkinnyAblation(benchmark::State& state) {
   DataInstance data = GenerateDataset(&s.vocab, *s.tbox, configs[0]);
   EvaluationStats stats;
   for (auto _ : state) {
-    Evaluator eval(program, data);
-    auto answers = eval.Evaluate(&stats);
-    benchmark::DoNotOptimize(answers);
+    ExecuteResult result =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run({});
+    benchmark::DoNotOptimize(result.answers);
+    stats = result.stats;
   }
   state.counters["Clauses"] = static_cast<double>(program.num_clauses());
   state.counters["Depth"] = static_cast<double>(program.Depth());

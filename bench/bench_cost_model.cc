@@ -37,13 +37,14 @@ void BM_CostModel(benchmark::State& state) {
   CostBasedRewrite(s.ctx.get(), query, stats, options, &chosen);
 
   EvaluationStats measured;
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = TupleBudget();
+  request.limits.max_work = 20 * TupleBudget();
   for (auto _ : state) {
-    EvaluatorLimits limits;
-    limits.max_generated_tuples = TupleBudget();
-    limits.max_work = 20 * TupleBudget();
-    Evaluator eval(program, data, limits);
-    auto answers = eval.Evaluate(&measured);
-    benchmark::DoNotOptimize(answers);
+    ExecuteResult result =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+    benchmark::DoNotOptimize(result.answers);
+    measured = result.stats;
   }
   state.counters["EstimatedTuples"] = estimated;
   state.counters["MeasuredTuples"] =

@@ -46,14 +46,16 @@ void BM_Parallelism(benchmark::State& state) {
   auto configs = Table2Configs(DatasetScale());
   DataInstance data = GenerateDataset(&s.vocab, *s.tbox, configs[0]);
   EvaluationStats stats;
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = TupleBudget();
+  request.limits.max_work = 20 * TupleBudget();
+  if (!batch) request.limits.batch_rows = 0;  // Scalar tuple-at-a-time oracle.
+  request.num_threads = threads;
   for (auto _ : state) {
-    EvaluatorLimits limits;
-    limits.max_generated_tuples = TupleBudget();
-    limits.max_work = 20 * TupleBudget();
-    if (!batch) limits.batch_rows = 0;  // Scalar tuple-at-a-time oracle.
-    Evaluator eval(program, data, limits);
-    auto answers = eval.EvaluateParallel(threads, &stats);
-    benchmark::DoNotOptimize(answers);
+    ExecuteResult result =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+    benchmark::DoNotOptimize(result.answers);
+    stats = result.stats;
   }
   state.counters["ParallelDepth"] = static_cast<double>(levels.size());
   state.counters["MaxLevelWidth"] = static_cast<double>(max_width);
@@ -97,14 +99,16 @@ void BM_BatchAB(benchmark::State& state) {
   auto configs = Table2Configs(0.3);
   DataInstance data = GenerateDataset(&s.vocab, *s.tbox, configs[0]);
   EvaluationStats stats;
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = 10'000'000;
+  request.limits.max_work = 200'000'000;
+  if (!batch) request.limits.batch_rows = 0;  // Scalar tuple-at-a-time oracle.
+  request.num_threads = threads;
   auto run = [&]() {
-    EvaluatorLimits limits;
-    limits.max_generated_tuples = 10'000'000;
-    limits.max_work = 200'000'000;
-    if (!batch) limits.batch_rows = 0;  // Scalar tuple-at-a-time oracle.
-    Evaluator eval(program, data, limits);
-    auto answers = eval.EvaluateParallel(threads, &stats);
-    benchmark::DoNotOptimize(answers);
+    ExecuteResult result =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+    benchmark::DoNotOptimize(result.answers);
+    stats = result.stats;
   };
   run();  // Untimed warmup: lets the clock governor and caches settle.
   for (auto _ : state) run();

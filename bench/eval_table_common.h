@@ -63,7 +63,7 @@ inline void BM_EvalCell(benchmark::State& state) {
   request.limits.max_work = 20 * TupleBudget();
   ExecuteResult result;
   for (auto _ : state) {
-    Evaluator eval(program, data);
+    Evaluator eval(program, DataSnapshot::FromInstance(data));
     result = eval.Run(request);
     benchmark::DoNotOptimize(result.answers);
   }

@@ -73,16 +73,20 @@ int main() {
   DataInstance virtual_abox = MaterializeMapping(mapping, tables);
   std::printf("virtual ABox M(D): %ld atoms\n%s\n", virtual_abox.NumAtoms(),
               virtual_abox.ToString().c_str());
-  Evaluator over_abox(rewriting, virtual_abox);
-  auto via_materialisation = over_abox.Evaluate();
+  auto via_materialisation =
+      Evaluator(rewriting, DataSnapshot::FromInstance(virtual_abox))
+          .Run({})
+          .answers;
 
   // Pipeline (2): unfold and evaluate over the raw tables.
   NdlProgram unfolded = UnfoldThroughMapping(rewriting, mapping);
   std::printf("unfolded rewriting over the source schema:\n%s\n",
               unfolded.ToString().c_str());
   DataInstance empty(&vocab);
-  Evaluator over_tables(unfolded, empty, tables);
-  auto via_unfolding = over_tables.Evaluate();
+  auto via_unfolding =
+      Evaluator(unfolded, DataSnapshot::FromInstance(empty, &tables))
+          .Run({})
+          .answers;
 
   std::printf("answers via materialised M(D):");
   for (const auto& t : via_materialisation) {

@@ -55,8 +55,8 @@ int main() {
     RewriteResult program_rw = RewriteOmqOrError(&ctx, query, kind, options);
     OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
     NdlProgram program = std::move(program_rw.program);
-    Evaluator eval(program, data);
-    auto answers = eval.Evaluate();
+    auto answers =
+        Evaluator(program, DataSnapshot::FromInstance(data)).Run({}).answers;
     std::printf("%-4s answers:", RewriterName(kind));
     for (const auto& t : answers) {
       std::printf(" (%s, %s)", vocab.IndividualName(t[0]).c_str(),

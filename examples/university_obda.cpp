@@ -112,9 +112,10 @@ int main() {
       OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
       NdlProgram program = std::move(program_rw.program);
       auto t1 = Clock::now();
-      EvaluationStats stats;
-      Evaluator eval(program, data);
-      auto answers = eval.Evaluate(&stats);
+      ExecuteResult result =
+          Evaluator(program, DataSnapshot::FromInstance(data)).Run({});
+      const auto& answers = result.answers;
+      const EvaluationStats& stats = result.stats;
       auto t2 = Clock::now();
       std::printf(
           "  %-4s: %3d clauses, %4zu answers, %6ld tuples, "

@@ -64,8 +64,8 @@ DataInstance MaterializeMapping(const GavMapping& mapping,
 // source tables: every concept/role EDB atom becomes an IDB predicate
 // defined by the matching mapping rules (predicates without rules become
 // empty), and active-domain atoms are redirected to the individuals of the
-// virtual ABox.  Evaluate the result with
-// Evaluator(program, empty_instance, tables).
+// virtual ABox.  Evaluate the result over a snapshot of the tables:
+// Evaluator(program, DataSnapshot::FromInstance(empty_instance, &tables)).
 NdlProgram UnfoldThroughMapping(const NdlProgram& program,
                                 const GavMapping& mapping);
 

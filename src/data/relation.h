@@ -101,9 +101,6 @@ struct Rows {
   int arity = 0;
   std::vector<int> cells;
   bool materialized = false;
-  // True when a deadline abort stopped materialisation partway: the rows
-  // present are valid, but the extension is incomplete.
-  bool partial = false;
 
   Rows() = default;
   // Deep copy (the copy-on-write step of DataSnapshot::ApplyFacts).
@@ -127,9 +124,9 @@ struct Rows {
   // Inserts `tuple` (arity ints) if new; returns whether it was new.
   // A relation at the row ceiling (2^32-2 rows, the last id the 32-bit
   // dedup slots can hold; see SetMaxRowsForTest) refuses the insert and
-  // marks itself `partial` instead of corrupting deduplication — callers
-  // that can abort must treat a partial output relation like any other
-  // truncation (the evaluator aborts at its next limit flush).
+  // sets AtRowCeiling() instead of corrupting deduplication — callers that
+  // can abort must treat such an output relation like any other truncation
+  // (the evaluator aborts at its next limit flush).
   bool Insert(const int* tuple);
   // Batched Insert for the vector-at-a-time emit path: inserts `n`
   // row-major tuples given their precomputed HashTuple values (one

@@ -44,10 +44,15 @@ QueryGovernor::Admission QueryGovernor::Admit(long request_timeout_ms) {
   queued_.fetch_add(1, std::memory_order_relaxed);
   OWLQR_COUNT("governor/queued", 1);
   const auto wait_start = std::chrono::steady_clock::now();
-  const auto deadline = wait_start + std::chrono::milliseconds(timeout_ms);
+  // A timeout too far out to represent waits without one.
+  std::chrono::steady_clock::time_point deadline;
+  const bool bounded = DeadlineAfter(timeout_ms, &deadline);
   while (!waiter.granted) {
-    if (waiter.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-        !waiter.granted) {
+    if (!bounded) {
+      waiter.cv.wait(lock);
+    } else if (waiter.cv.wait_until(lock, deadline) ==
+                   std::cv_status::timeout &&
+               !waiter.granted) {
       // Shed: remove ourselves so the line does not stall behind a corpse.
       queue_.erase(std::find(queue_.begin(), queue_.end(), &waiter));
       lock.unlock();

@@ -11,30 +11,17 @@ namespace owlqr {
 
 namespace {
 
-// How often (in join emissions, EDB rows, index-build rows, or merged shard
-// rows) the wall-clock deadline is polled.  The scan loops test
+// How often (in join emissions, index-build rows, or merged shard rows)
+// the wall-clock deadline is polled.  The scan loops test
 // `count & (interval - 1)` (hence power of two); the join emission path
 // uses it as the ceiling of JoinContext::flush_countdown.
 constexpr long kDeadlineCheckInterval = kRelationAbortInterval;
 
 }  // namespace
 
-Evaluator::Evaluator(const NdlProgram& program, const DataInstance& data,
-                     const EvaluatorLimits& limits)
-    : program_(program), data_(&data), limits_(limits) {
-  Init();
-}
-
-Evaluator::Evaluator(const NdlProgram& program, const DataInstance& data,
-                     const TableStore& tables, const EvaluatorLimits& limits)
-    : program_(program), data_(&data), tables_(&tables), limits_(limits) {
-  Init();
-}
-
 Evaluator::Evaluator(const NdlProgram& program,
-                     std::shared_ptr<const DataSnapshot> snapshot,
-                     const EvaluatorLimits& limits)
-    : program_(program), snapshot_(std::move(snapshot)), limits_(limits) {
+                     std::shared_ptr<const DataSnapshot> snapshot)
+    : program_(program), snapshot_(std::move(snapshot)) {
   OWLQR_CHECK_MSG(snapshot_ != nullptr, "null DataSnapshot");
   Init();
 }
@@ -45,43 +32,42 @@ void Evaluator::Init() {
   OWLQR_CHECK_MSG(program_.IsNonrecursive(), "program must be nonrecursive");
   const int n = program_.num_predicates();
   preds_.reserve(n);
-  for (int p = 0; p < n; ++p) {
-    preds_.push_back(std::make_unique<PredicateState>());
-    preds_.back()->rows.arity = program_.predicate(p).arity;
-  }
   snapshot_rel_.assign(n, nullptr);
-  if (snapshot_ != nullptr) {
+  for (int p = 0; p < n; ++p) {
+    const PredicateInfo& info = program_.predicate(p);
+    preds_.push_back(std::make_unique<PredicateState>());
+    Rows& rows = preds_.back()->rows;
+    rows.arity = info.arity;
     // Resolve each EDB predicate to its frozen snapshot relation once, so
-    // the hot paths do a vector load instead of a hash lookup.  Predicates
-    // the snapshot holds no facts for stay null and read as empty.
-    for (int p = 0; p < n; ++p) {
-      const PredicateInfo& info = program_.predicate(p);
-      switch (info.kind) {
-        case PredicateKind::kConceptEdb:
-          snapshot_rel_[p] = snapshot_->Concept(info.external_id);
-          break;
-        case PredicateKind::kRoleEdb:
-          snapshot_rel_[p] = snapshot_->Role(info.external_id);
-          break;
-        case PredicateKind::kTableEdb:
-          snapshot_rel_[p] = snapshot_->Table(info.external_id);
-          break;
-        case PredicateKind::kAdom:
-          snapshot_rel_[p] = &snapshot_->adom();
-          break;
-        default:
-          break;
-      }
+    // the hot paths do a vector load instead of a hash lookup.
+    switch (info.kind) {
+      case PredicateKind::kConceptEdb:
+        snapshot_rel_[p] = snapshot_->Concept(info.external_id);
+        break;
+      case PredicateKind::kRoleEdb:
+        snapshot_rel_[p] = snapshot_->Role(info.external_id);
+        break;
+      case PredicateKind::kTableEdb:
+        snapshot_rel_[p] = snapshot_->Table(info.external_id);
+        break;
+      case PredicateKind::kAdom:
+        snapshot_rel_[p] = &snapshot_->adom();
+        break;
+      default:
+        continue;  // IDB and equality predicates.
     }
+    // The snapshot holds no facts for this EDB predicate: it reads the
+    // empty local relation, complete by construction.  Set before any
+    // worker exists, so parallel readers need no synchronisation.
+    if (snapshot_rel_[p] == nullptr) rows.materialized = true;
   }
 }
 
-void Evaluator::StartClock() {
-  has_deadline_ = limits_.deadline_ms > 0;
-  if (has_deadline_) {
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(limits_.deadline_ms);
-  }
+void Evaluator::StartClock(const ExecuteRequest& request) {
+  limits_ = request.limits;
+  cancel_ = request.cancel;
+  has_deadline_ = limits_.deadline_ms > 0 &&
+                  DeadlineAfter(limits_.deadline_ms, &deadline_);
   // A request cancelled before evaluation starts does no work at all: this
   // poll trips aborted_ before the first clause runs.
   AbortRequested();
@@ -136,97 +122,9 @@ bool Evaluator::ChargeRowsDelta(const Rows& rows, size_t* charged_bytes) {
   return ok;
 }
 
-const std::vector<int>& Evaluator::ActiveDomain() {
-  if (snapshot_ != nullptr) return snapshot_->active_domain();
-  std::call_once(active_domain_once_, [this] {
-    active_domain_ = data_->individuals();
-    if (tables_ != nullptr) {
-      for (int ind : tables_->ActiveDomain()) active_domain_.push_back(ind);
-      std::sort(active_domain_.begin(), active_domain_.end());
-      active_domain_.erase(
-          std::unique(active_domain_.begin(), active_domain_.end()),
-          active_domain_.end());
-    }
-  });
-  return active_domain_;
-}
-
 const Rows& Evaluator::EdbRows(int predicate) {
-  // Snapshot path: the arena was frozen before any request existed.
-  if (snapshot_rel_[predicate] != nullptr) {
-    return snapshot_rel_[predicate]->rows();
-  }
-  PredicateState& state = *preds_[predicate];
-  std::call_once(state.edb_once, [this, predicate, &state] {
-    Rows& rows = state.rows;
-    if (snapshot_ != nullptr) {
-      // The snapshot holds no facts for this external id: an empty
-      // extension, by construction complete.
-      rows.materialized = true;
-      return;
-    }
-    OWLQR_NAMED_SPAN(span, "evaluate/edb");
-    const PredicateInfo& info = program_.predicate(predicate);
-    // Abort poll shared by the materialisation loops below: an
-    // adversarially wide EDB must not blow past deadline_ms (or ignore a
-    // cancel, or outgrow the memory account) just because no join emission
-    // happens while it streams in.  The arena's growth is charged at the
-    // same cadence.
-    long scanned = 0;
-    bool cut_short = false;
-    size_t charged = 0;
-    auto expired = [this, &rows, &scanned, &cut_short, &charged] {
-      if ((++scanned & (kDeadlineCheckInterval - 1)) == 0 &&
-          (!ChargeRowsDelta(rows, &charged) || AbortRequested())) {
-        cut_short = true;
-      }
-      return cut_short;
-    };
-    switch (info.kind) {
-      case PredicateKind::kConceptEdb:
-        for (int a : data_->ConceptMembers(info.external_id)) {
-          rows.Insert(&a);
-          if (expired()) break;
-        }
-        break;
-      case PredicateKind::kRoleEdb:
-        for (auto [a, b] : data_->RolePairs(info.external_id)) {
-          int pair[2] = {a, b};
-          rows.Insert(pair);
-          if (expired()) break;
-        }
-        break;
-      case PredicateKind::kTableEdb:
-        OWLQR_CHECK_MSG(
-            tables_ != nullptr,
-            "program uses table predicates but no TableStore given");
-        for (const std::vector<int>& row : tables_->Rows(info.external_id)) {
-          rows.Insert(row.data());
-          if (expired()) break;
-        }
-        break;
-      case PredicateKind::kAdom:
-        for (int a : ActiveDomain()) {
-          rows.Insert(&a);
-          if (expired()) break;
-        }
-        break;
-      default:
-        OWLQR_CHECK_MSG(false, "EdbRows on IDB/equality predicate");
-    }
-    // An abort mid-stream leaves a silently incomplete extension; record
-    // the partiality (the once_flag means it will never be retried) so
-    // FillStats can surface it alongside aborted/deadline_exceeded.
-    rows.materialized = true;
-    rows.partial = cut_short;
-    // Settle the residual arena growth since the last in-loop charge.
-    ChargeRowsDelta(rows, &charged);
-    if (cut_short) OWLQR_COUNT("evaluator/partial_edbs", 1);
-    span.Attr("predicate", predicate);
-    span.Attr("rows", static_cast<long>(rows.size()));
-    OWLQR_COUNT("evaluator/edb_rows", static_cast<long>(rows.size()));
-  });
-  return state.rows;
+  const EdbRelation* rel = snapshot_rel_[predicate];
+  return rel != nullptr ? rel->rows() : preds_[predicate]->rows;
 }
 
 const Rows& Evaluator::RowsFor(int predicate) {
@@ -303,11 +201,7 @@ const HashIndex& Evaluator::GetIndex(int predicate, unsigned mask) {
 
 void Evaluator::Materialize(int predicate, JoinContext* ctx) {
   Rows& rows = preds_[predicate]->rows;
-  if (rows.materialized) return;
-  if (!program_.IsIdb(predicate)) {
-    EdbRows(predicate);
-    return;
-  }
+  if (rows.materialized || !program_.IsIdb(predicate)) return;
   // Materialise dependencies first (the program is acyclic).
   for (int ci : program_.ClausesFor(predicate)) {
     for (const NdlAtom& atom : program_.clause(ci).body) {
@@ -880,7 +774,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
     tuple_base = step.rows->size() > 0 ? step.rows->row(0) : nullptr;
     tuple_arity = step.rows->arity;
   } else if (bs.op == BatchOp::kEqExpand || bs.op == BatchOp::kAdomExpand) {
-    tuple_base = ActiveDomain().data();
+    tuple_base = snapshot_->active_domain().data();
   }
 
   // Gathers the `m` pending (sel, cand) pairs into the output batch, one
@@ -962,7 +856,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
       return m == 0 || flush();
     }
     case BatchOp::kAdomFilter: {
-      const std::vector<int>& adom = ActiveDomain();
+      const std::vector<int>& adom = snapshot_->active_domain();
       for (size_t i = 0; i < n; ++i) {
         sel[m] = static_cast<uint32_t>(i);
         m += std::binary_search(adom.begin(), adom.end(), operand(bs.code, i))
@@ -974,7 +868,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
     }
     case BatchOp::kEqExpand:
     case BatchOp::kAdomExpand: {
-      const size_t adom_size = ActiveDomain().size();
+      const size_t adom_size = snapshot_->active_domain().size();
       for (size_t i = 0; i < n; ++i) {
         for (size_t r = 0; r < adom_size; ++r) {
           if (abort_poll()) return false;
@@ -1348,7 +1242,7 @@ bool Evaluator::Join(const ClausePlan& plan, size_t next, JoinContext* ctx,
       return keep_going;
     }
     // Both open: enumerate the active domain (rare; kept for completeness).
-    for (int ind : ActiveDomain()) {
+    for (int ind : snapshot_->active_domain()) {
       binding[atom.args[0].value] = ind;
       binding[atom.args[1].value] = ind;
       bool keep_going = Join(plan, next + 1, ctx, out);
@@ -1361,7 +1255,7 @@ bool Evaluator::Join(const ClausePlan& plan, size_t next, JoinContext* ctx,
 
   if (step.kind == PredicateKind::kAdom) {
     int a = term_value(atom.args[0]);
-    const std::vector<int>& adom = ActiveDomain();
+    const std::vector<int>& adom = snapshot_->active_domain();
     if (a >= 0) {
       if (std::binary_search(adom.begin(), adom.end(), a)) {
         return Join(plan, next + 1, ctx, out);
@@ -1819,10 +1713,9 @@ void Evaluator::SchedulerWorker(Scheduler* sched, int worker_id,
 
 // -------------------------------------------------------------------------
 
-void Evaluator::FillStats(const std::vector<std::vector<int>>& answers,
-                          EvaluationStats* stats) const {
-  stats->generated_tuples = 0;
-  stats->predicates_evaluated = 0;
+void Evaluator::FinishResult(ExecuteResult* result) const {
+  result->answers = preds_[program_.goal()]->rows.ToSortedTuples();
+  EvaluationStats* stats = &result->stats;
   stats->aborted = aborted_.load();
   stats->deadline_exceeded = deadline_exceeded_.load();
   stats->cancelled = cancelled_.load();
@@ -1833,22 +1726,17 @@ void Evaluator::FillStats(const std::vector<std::vector<int>>& answers,
     stats->memory_high_water = static_cast<long>(account_->high_water());
   }
   stats->index_builds = index_builds_.load();
-  stats->partial_edbs = 0;
   stats->predicate_tuples.assign(program_.num_predicates(), 0);
   for (int p = 0; p < program_.num_predicates(); ++p) {
     const Rows& rows = preds_[p]->rows;
-    if (program_.IsIdb(p)) {
-      if (rows.materialized) {
-        long count = static_cast<long>(rows.size());
-        stats->predicate_tuples[p] = count;
-        stats->generated_tuples += count;
-        ++stats->predicates_evaluated;
-      }
-    } else if (rows.partial) {
-      ++stats->partial_edbs;
+    if (program_.IsIdb(p) && rows.materialized) {
+      long count = static_cast<long>(rows.size());
+      stats->predicate_tuples[p] = count;
+      stats->generated_tuples += count;
+      ++stats->predicates_evaluated;
     }
   }
-  stats->goal_tuples = static_cast<long>(answers.size());
+  stats->goal_tuples = static_cast<long>(result->answers.size());
   stats->scheduler_tasks = scheduler_tasks_.load();
   stats->morsel_batches = morsel_batches_.load();
   stats->morsels = morsels_.load();
@@ -1859,27 +1747,29 @@ void Evaluator::FillStats(const std::vector<std::vector<int>>& answers,
   stats->batch_rows = batch_rows_.load();
   stats->batch_probes = batch_probes_.load();
   stats->steals = steals_.load();
-}
 
-ExecuteResult Evaluator::Run(const ExecuteRequest& request) {
-  limits_ = request.limits;
-  if (request.cancel != nullptr) cancel_ = request.cancel;
-  ExecuteResult result;
-  result.answers = request.num_threads > 1
-                       ? EvaluateParallel(request.num_threads, &result.stats)
-                       : Evaluate(&result.stats);
-  if (snapshot_ != nullptr) result.snapshot_version = snapshot_->version();
+  result->snapshot_version = snapshot_->version();
   // Any abort leaves the answers a sound-but-possibly-incomplete subset.
   // Tuple/work-limit truncation is an *asked-for* stop, so it stays kOk
   // (partial says the rest); the status codes name the abort causes a
   // caller did not opt into, most specific first.
-  result.partial = result.stats.aborted;
-  if (result.stats.cancelled) {
-    result.status = Status::Cancelled("execution cancelled");
-  } else if (result.stats.memory_exceeded) {
-    result.status = Status::MemoryExceeded("memory budget exceeded");
-  } else if (result.stats.deadline_exceeded) {
-    result.status = Status::DeadlineExceeded("deadline exceeded");
+  result->partial = stats->aborted;
+  if (stats->cancelled) {
+    result->status = Status::Cancelled("execution cancelled");
+  } else if (stats->memory_exceeded) {
+    result->status = Status::MemoryExceeded("memory budget exceeded");
+  } else if (stats->deadline_exceeded) {
+    result->status = Status::DeadlineExceeded("deadline exceeded");
+  }
+}
+
+ExecuteResult Evaluator::Run(const ExecuteRequest& request) {
+  OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");
+  ExecuteResult result;
+  if (request.num_threads > 1) {
+    RunParallel(request, &result);
+  } else {
+    RunSequential(request, &result);
   }
   return result;
 }
@@ -1918,24 +1808,21 @@ void Evaluator::ExtractRetainedState(RetainedIdbState* state) {
     state->idb_rows[p] = std::move(preds_[p]->rows);
     state->slots[p] = std::move(preds_[p]->slots);
   }
-  state->version = snapshot_ != nullptr ? snapshot_->version() : 1;
+  state->version = snapshot_->version();
 }
 
 ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
                                   const SnapshotDelta& delta,
                                   RetainedIdbState* state) {
-  OWLQR_CHECK_MSG(snapshot_ != nullptr, "RunDelta needs a snapshot backend");
   OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");
   const int n = program_.num_predicates();
   OWLQR_CHECK_MSG(
       state->valid() && static_cast<int>(state->idb_rows.size()) == n &&
           static_cast<int>(state->slots.size()) == n,
       "retained state missing or sized for a different program");
-  limits_ = request.limits;
-  if (request.cancel != nullptr) cancel_ = request.cancel;
 
   OWLQR_NAMED_SPAN(span, "evaluate/delta");
-  StartClock();
+  StartClock(request);
 
   // Adopt the retained extensions: they become this evaluator's IDB
   // relations, warm probe indexes included.  Their bytes stay charged to
@@ -2052,18 +1939,8 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
   }
 
   ExecuteResult result;
-  result.answers = preds_[program_.goal()]->rows.ToSortedTuples();
-  FillStats(result.answers, &result.stats);
-  result.snapshot_version = snapshot_->version();
+  FinishResult(&result);
   result.incremental = true;
-  result.partial = result.stats.aborted;
-  if (result.stats.cancelled) {
-    result.status = Status::Cancelled("execution cancelled");
-  } else if (result.stats.memory_exceeded) {
-    result.status = Status::MemoryExceeded("memory budget exceeded");
-  } else if (result.stats.deadline_exceeded) {
-    result.status = Status::DeadlineExceeded("deadline exceeded");
-  }
   span.Attr("seed_rows", static_cast<long>(seed_rows));
   span.Attr("delta_derived", delta_derived);
   span.Attr("goal_tuples", static_cast<long>(result.answers.size()));
@@ -2078,10 +1955,10 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
   return result;
 }
 
-std::vector<std::vector<int>> Evaluator::Evaluate(EvaluationStats* stats) {
-  OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");
+void Evaluator::RunSequential(const ExecuteRequest& request,
+                              ExecuteResult* result) {
   OWLQR_NAMED_SPAN(span, "evaluate");
-  StartClock();
+  StartClock(request);
   {
     // Scoped so the batch scratch is released (and un-charged) before the
     // stats snapshot: final memory readings must reconcile to exactly the
@@ -2089,22 +1966,18 @@ std::vector<std::vector<int>> Evaluator::Evaluate(EvaluationStats* stats) {
     JoinContext ctx;
     Materialize(program_.goal(), &ctx);
   }
-  std::vector<std::vector<int>> answers =
-      preds_[program_.goal()]->rows.ToSortedTuples();
-  if (stats != nullptr) FillStats(answers, stats);
-  span.Attr("goal_tuples", static_cast<long>(answers.size()));
+  FinishResult(result);
+  span.Attr("goal_tuples", static_cast<long>(result->answers.size()));
   span.Attr("generated_tuples", idb_tuples_.load(std::memory_order_relaxed));
   span.Attr("aborted", aborted_.load() ? 1 : 0);
-  return answers;
 }
 
-std::vector<std::vector<int>> Evaluator::EvaluateParallel(
-    int num_threads, EvaluationStats* stats) {
-  OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");
-  if (num_threads <= 1) return Evaluate(stats);
+void Evaluator::RunParallel(const ExecuteRequest& request,
+                            ExecuteResult* result) {
+  const int num_threads = request.num_threads;
   OWLQR_NAMED_SPAN(span, "evaluate/parallel");
   span.Attr("threads", num_threads);
-  StartClock();
+  StartClock(request);
 
   // IDB predicates the goal depends on, over the program's cached
   // dependency adjacency (a flat seen-array; no per-call tree allocations).
@@ -2122,23 +1995,10 @@ std::vector<std::vector<int>> Evaluator::EvaluateParallel(
       }
     }
   }
-  // Freeze everything workers may read lazily: the program's clause index
-  // (any ClausesFor call builds all of it; concurrent first calls from
-  // worker tasks would race), the active domain (used by equality and adom
-  // atoms), and every EDB relation of any kind, including table EDBs from
-  // the mapping layer.
+  // Build the program's clause index before workers start: any ClausesFor
+  // call builds all of it, and concurrent first calls from worker tasks
+  // would race.  Everything else workers read is frozen in the snapshot.
   program_.ClausesFor(program_.goal());
-  ActiveDomain();
-  for (const NdlClause& clause : program_.clauses()) {
-    for (const NdlAtom& atom : clause.body) {
-      PredicateKind kind = program_.predicate(atom.predicate).kind;
-      if (kind == PredicateKind::kConceptEdb ||
-          kind == PredicateKind::kRoleEdb ||
-          kind == PredicateKind::kTableEdb || kind == PredicateKind::kAdom) {
-        EdbRows(atom.predicate);
-      }
-    }
-  }
 
   // Build the task DAG: one task per reachable unmaterialised IDB
   // predicate, an atomic remaining-dependency counter each, and reverse
@@ -2194,17 +2054,14 @@ std::vector<std::vector<int>> Evaluator::EvaluateParallel(
     for (std::thread& t : threads) t.join();
   }
 
-  std::vector<std::vector<int>> answers =
-      preds_[program_.goal()]->rows.ToSortedTuples();
-  if (stats != nullptr) FillStats(answers, stats);
-  span.Attr("goal_tuples", static_cast<long>(answers.size()));
+  FinishResult(result);
+  span.Attr("goal_tuples", static_cast<long>(result->answers.size()));
   span.Attr("generated_tuples", idb_tuples_.load(std::memory_order_relaxed));
   span.Attr("aborted", aborted_.load() ? 1 : 0);
   span.Attr("tasks", scheduler_tasks_.load(std::memory_order_relaxed));
   span.Attr("morsel_batches",
             morsel_batches_.load(std::memory_order_relaxed));
   span.Attr("morsels", morsels_.load(std::memory_order_relaxed));
-  return answers;
 }
 
 }  // namespace owlqr

@@ -12,10 +12,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "data/data_instance.h"
 #include "data/relation.h"
 #include "data/snapshot.h"
-#include "data/table_store.h"
 #include "ndl/program.h"
 #include "util/budget.h"
 #include "util/status.h"
@@ -45,10 +43,6 @@ struct EvaluationStats {
   // the execution's high-water mark (0 when no account was installed).
   long memory_bytes = 0;
   long memory_high_water = 0;
-  // EDB relations whose materialisation was cut short by an abort (deadline,
-  // cancel, or memory); when nonzero, `aborted` is set too.  Always zero on
-  // the snapshot path, whose relations are built ahead of any request.
-  int partial_edbs = 0;
   // Number of (predicate, bound-position mask) hash indexes built by this
   // execution (shared snapshot-cache hits are not counted: the request did
   // not pay for them).
@@ -84,11 +78,11 @@ struct EvaluatorLimits {
   // unlimited).  Guards against clauses that churn on duplicate tuples
   // without growing any relation.
   long max_work = 0;
-  // Wall-clock deadline from the start of Evaluate / EvaluateParallel, in
-  // milliseconds (<= 0: unlimited).  The faithful stand-in for the paper's
-  // 999 s evaluation timeout.
+  // Wall-clock deadline from the start of Evaluator::Run, in milliseconds
+  // (<= 0, or too far out to represent on the clock: unlimited).  The
+  // faithful stand-in for the paper's 999 s evaluation timeout.
   long deadline_ms = 0;
-  // Intra-clause (morsel) parallelism threshold for EvaluateParallel: when
+  // Intra-clause (morsel) parallelism threshold for parallel runs: when
   // the scheduler would otherwise leave workers idle and a clause's driver
   // atom scans more than this many rows, the scan is split into morsels of
   // this size and fanned out across workers (<= 0 disables splitting).
@@ -102,9 +96,8 @@ struct EvaluatorLimits {
 };
 
 // One evaluation request: per-request limits plus the evaluation mode.
-// This is the single knob surface shared by both evaluator entry points,
-// Engine::Execute, the CLI and the benches — in place of the former
-// scattered (limits ctor param, stats out-param, num_threads arg) plumbing.
+// The single knob surface shared by Evaluator::Run/RunDelta,
+// Engine::Execute, the CLI and the benches.
 struct ExecuteRequest {
   EvaluatorLimits limits;
   // <= 1 runs the sequential evaluator; > 1 runs the dependency-DAG
@@ -130,9 +123,8 @@ struct ExecuteRequest {
 };
 
 // What an evaluation produced: the sorted goal relation plus the stats the
-// run accumulated.  `snapshot_version` is filled by Engine::Execute with
-// the version of the DataSnapshot the run was pinned to (0 when evaluation
-// ran directly against a DataInstance).
+// run accumulated.  `snapshot_version` is the version of the DataSnapshot
+// the run was pinned to.
 struct ExecuteResult {
   std::vector<std::vector<int>> answers;
   EvaluationStats stats;
@@ -219,7 +211,7 @@ struct RetainedIdbState {
   size_t MemoryBytes() const;
 };
 
-// Bottom-up evaluator for nonrecursive datalog over a data instance.
+// Bottom-up evaluator for nonrecursive datalog over a frozen data snapshot.
 //
 // IDB predicates are materialised in dependence order; each clause is
 // evaluated with a backtracking join over its body using lazily built hash
@@ -235,16 +227,15 @@ struct RetainedIdbState {
 // concurrent indexed lookups on different predicates never contend and
 // lookups on the same predicate contend only until the index exists.
 //
-// Data backends: constructed from a DataInstance (optionally + TableStore),
-// EDB relations are materialised into evaluator-local arenas on first use,
-// as before; constructed from a shared DataSnapshot, EDB arenas and their
-// hash indexes come straight from the snapshot — pre-built, immutable, and
-// shared with every concurrent execution pinned to the same snapshot — and
-// the evaluator only materialises IDB relations.  The snapshot is held by
-// shared_ptr, so an execution keeps its data version alive even after the
-// engine swaps in a newer one.
+// EDB arenas and their hash indexes come straight from the DataSnapshot —
+// pre-built, immutable, and shared with every concurrent execution pinned
+// to the same snapshot — and the evaluator only materialises IDB
+// relations.  The snapshot is held by shared_ptr, so an execution keeps its
+// data version alive even after the engine swaps in a newer one.  Plain
+// instances, and the mapping layer's source tables, are evaluated by
+// freezing them first (DataSnapshot::FromInstance).
 //
-// Parallel evaluation (EvaluateParallel) is barrier-free: every IDB
+// Parallel evaluation (Run with num_threads > 1) is barrier-free: every IDB
 // predicate the goal depends on becomes a task with an atomic
 // remaining-dependency counter, workers pull ready tasks from a shared
 // queue, and a predicate is enqueued the moment its last dependency
@@ -253,22 +244,14 @@ struct RetainedIdbState {
 // into morsels evaluated concurrently into per-worker Rows shards and then
 // merged (see DESIGN.md section 7).  The safety invariant is single writer
 // per relation: every EDB relation (including table EDBs) and the active
-// domain are materialised eagerly before workers start, each shard is
+// domain are frozen in the snapshot before workers start, each shard is
 // written by exactly one worker, the task owner alone merges shards into
 // the predicate's canonical Rows, and all other reads are of frozen
 // dependency relations or of indexes built under a once-flag.
 class Evaluator {
  public:
-  Evaluator(const NdlProgram& program, const DataInstance& data,
-            const EvaluatorLimits& limits = {});
-  // With a source database for kTableEdb predicates (the mapping layer);
-  // the active domain is then ind(data) united with the tables' cells.
-  Evaluator(const NdlProgram& program, const DataInstance& data,
-            const TableStore& tables, const EvaluatorLimits& limits = {});
-  // Over a frozen snapshot (see the class comment); the engine's path.
   Evaluator(const NdlProgram& program,
-            std::shared_ptr<const DataSnapshot> snapshot,
-            const EvaluatorLimits& limits = {});
+            std::shared_ptr<const DataSnapshot> snapshot);
   ~Evaluator();
 
   Evaluator(const Evaluator&) = delete;
@@ -286,23 +269,21 @@ class Evaluator {
   // Must be called before evaluation starts.
   void set_memory_account(MemoryAccount* account) { account_ = account; }
 
-  // Installs the cancellation token (shared; may be null).  Polled at the
-  // same points as the deadline.  Must be called before evaluation starts;
-  // Run(request) installs request.cancel automatically.
-  void set_cancel_token(std::shared_ptr<const CancelToken> cancel) {
-    cancel_ = std::move(cancel);
-  }
-
-  // One-call facade: applies the request's limits and thread count, runs
-  // the matching evaluation path, and returns answers + stats together.
+  // Materialises everything the goal depends on under the request's limits
+  // and cancel token, and returns the goal relation (sorted
+  // lexicographically) with the run's stats.  num_threads > 1 runs the
+  // dependency-DAG scheduler (see the class comment) with that many
+  // workers, capped at the hardware concurrency (floor 2); answers and
+  // counters do not depend on the worker count.  One evaluator serves one
+  // Run (or RunDelta).
   ExecuteResult Run(const ExecuteRequest& request);
 
-  // The semi-naive delta path (snapshot-backed evaluators only).  Adopts
-  // the retained IDB extensions out of `state` (which must hold the exact
-  // materialisation of this program at the parent version), seeds round 0
-  // with only `delta`'s appended EDB rows — plus synthetic adom/equality
-  // delta rows for individuals that newly entered the active domain — and
-  // propagates through the cached dependency DAG in topological order:
+  // The semi-naive delta path.  Adopts the retained IDB extensions out of
+  // `state` (which must hold the exact materialisation of this program at
+  // the parent version), seeds round 0 with only `delta`'s appended EDB
+  // rows — plus synthetic adom/equality delta rows for individuals that
+  // newly entered the active domain — and propagates through the cached
+  // dependency DAG in topological order:
   // each clause with a non-empty delta body atom is re-joined driven by
   // that delta (all other atoms against the full new extensions, probing
   // the retained/warm indexes), and newly derived tuples merge into the
@@ -325,23 +306,9 @@ class Evaluator {
   // be used again afterwards.
   void ExtractRetainedState(RetainedIdbState* state);
 
-  // Materialises everything the goal depends on and returns the goal
-  // relation, sorted lexicographically.
-  std::vector<std::vector<int>> Evaluate(EvaluationStats* stats = nullptr);
-
-  // Like Evaluate, but runs the dependency-DAG scheduler with `num_threads`
-  // worker threads (see the class comment).  num_threads <= 1 falls back to
-  // the sequential path; larger counts are capped at the hardware
-  // concurrency (floor 2), since extra CPU-bound workers only add
-  // scheduling overhead.  Answers and counters do not depend on the worker
-  // count.
-  std::vector<std::vector<int>> EvaluateParallel(
-      int num_threads, EvaluationStats* stats = nullptr);
-
  private:
   struct PredicateState {
     Rows rows;
-    std::once_flag edb_once;          // Guards EDB materialisation.
     std::mutex slot_mutex;            // Guards the shape of `slots`.
     std::unordered_map<unsigned, std::unique_ptr<IndexSlot>> slots;
   };
@@ -567,7 +534,7 @@ class Evaluator {
     std::condition_variable cv;        // Owner waits for completion.
   };
 
-  // Shared state of one EvaluateParallel run: the dependency DAG (atomic
+  // Shared state of one parallel run: the dependency DAG (atomic
   // remaining-dependency counters plus reverse edges), the ready queue, and
   // the open morsel fan-outs idle workers can join.
   struct Scheduler {
@@ -583,11 +550,13 @@ class Evaluator {
   };
 
   void Init();
-  void StartClock();
+  // Installs the request's limits and cancel token and starts the deadline
+  // clock.
+  void StartClock(const ExecuteRequest& request);
   // Polls the wall-clock deadline; on expiry sets deadline_exceeded_ and
   // aborted_ and returns true.  Called from the join emission path and from
-  // the EDB-materialisation, index-build and shard-merge loops, so a single
-  // oversized relation cannot blow past EvaluatorLimits::deadline_ms.
+  // the index-build and shard-merge loops, so a single oversized relation
+  // cannot blow past EvaluatorLimits::deadline_ms.
   bool DeadlineExpired();
   // The full cooperative abort poll: cancel token, then deadline.  Every
   // former DeadlineExpired() poll site goes through this, so cancellation
@@ -682,26 +651,25 @@ class Evaluator {
   // CAS on the victim's packed range, retried against its chunk advances.
   bool StealRange(MorselBatch* batch, size_t* begin, size_t* end);
   long MergeShards(MorselBatch* batch, Rows* out);
+  // The two full-evaluation paths behind Run: materialise the goal's
+  // dependency closure sequentially, or on the DAG scheduler.
+  void RunSequential(const ExecuteRequest& request, ExecuteResult* result);
+  void RunParallel(const ExecuteRequest& request, ExecuteResult* result);
   const HashIndex& GetIndex(int predicate, unsigned mask);
   const Rows& EdbRows(int predicate);
   const Rows& RowsFor(int predicate);
-  void FillStats(const std::vector<std::vector<int>>& answers,
-                 EvaluationStats* stats) const;
-
-  const std::vector<int>& ActiveDomain();
+  // Sorts the goal relation into `result->answers`, fills its stats,
+  // version and partial flag, and names the abort cause in its status.
+  void FinishResult(ExecuteResult* result) const;
 
   const NdlProgram& program_;
-  const DataInstance* data_ = nullptr;  // Null on the snapshot path.
-  const TableStore* tables_ = nullptr;  // Not owned; may be null.
   // Pins the data version this execution runs on (see the class comment).
   std::shared_ptr<const DataSnapshot> snapshot_;
   // Per-predicate snapshot relation, resolved once in Init (null for IDB
   // predicates, equality, and EDB predicates the snapshot has no facts
-  // for — those fall back to an empty local relation).
+  // for — those read the empty, materialised local relation).
   std::vector<const EdbRelation*> snapshot_rel_;
   JoinOrderHints* hints_ = nullptr;  // Not owned; may be null.
-  std::vector<int> active_domain_;
-  std::once_flag active_domain_once_;
   EvaluatorLimits limits_;
   std::shared_ptr<const CancelToken> cancel_;  // May be null.
   MemoryAccount* account_ = nullptr;           // Not owned; may be null.

@@ -1,5 +1,6 @@
 #include "server/api.h"
 
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -60,11 +61,10 @@ Status ReadBool(const JsonValue& obj, const char* key, bool* out) {
 Status ReadLong(const JsonValue& obj, const char* key, long* out) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return Status::Ok();
-  if (!v->is_number()) {
+  if (!v->ToLong(out)) {
     return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a number");
+                                   "' must be an integer in range");
   }
-  *out = v->AsLong();
   return Status::Ok();
 }
 
@@ -72,6 +72,11 @@ Status ReadInt(const JsonValue& obj, const char* key, int* out) {
   long value = *out;
   Status s = ReadLong(obj, key, &value);
   if (!s.ok()) return s;
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(std::string("'") + key +
+                                   "' must be an integer in range");
+  }
   *out = static_cast<int>(value);
   return Status::Ok();
 }
@@ -79,11 +84,12 @@ Status ReadInt(const JsonValue& obj, const char* key, int* out) {
 Status ReadUInt64(const JsonValue& obj, const char* key, uint64_t* out) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return Status::Ok();
-  if (!v->is_number() || v->AsDouble() < 0) {
+  long value = 0;
+  if (!v->ToLong(&value) || value < 0) {
     return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a non-negative number");
+                                   "' must be a non-negative integer");
   }
-  *out = static_cast<uint64_t>(v->AsDouble());
+  *out = static_cast<uint64_t>(value);
   return Status::Ok();
 }
 

@@ -15,6 +15,16 @@ inline void RaiseHighWater(std::atomic<size_t>* high_water, size_t now) {
 
 }  // namespace
 
+bool DeadlineAfter(long ms, std::chrono::steady_clock::time_point* deadline) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= headroom.count()) return false;
+  *deadline = now + std::chrono::milliseconds(ms);
+  return true;
+}
+
 bool MemoryBudget::Charge(size_t bytes) {
   size_t now = used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   RaiseHighWater(&high_water_, now);

@@ -3,8 +3,8 @@
 
 // Resource-governance primitives shared by the evaluator and the engine's
 // QueryGovernor (src/engine/governor.h): a cooperative cancellation token,
-// a process/engine-wide memory budget, and a per-execution memory account
-// that charges against it.
+// a process/engine-wide memory budget, a per-execution memory account
+// that charges against it, and saturating deadline arithmetic.
 //
 // These live in util/ (below ndl/ and engine/) because the evaluator's
 // ExecuteRequest carries a CancelToken and its arena-growth paths charge a
@@ -20,9 +20,17 @@
 // limit-flush cadence, never per emission), so the atomics here are cold.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 
 namespace owlqr {
+
+// Sets *deadline to now + `ms` on the steady clock and returns true, or
+// returns false (leaving *deadline alone) when that instant lies beyond the
+// clock's range — about 292 years out at nanosecond resolution.  A bound
+// that far away is no bound: callers treat false as "unlimited" instead of
+// letting the sum overflow into the past.
+bool DeadlineAfter(long ms, std::chrono::steady_clock::time_point* deadline);
 
 // One-way cancellation signal, shared between a caller and the executions
 // it wants to be able to abort.  Thread-safe; Cancel() is idempotent.

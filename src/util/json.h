@@ -18,6 +18,7 @@
 // It is not a speed demon and is not meant to be: request bodies are small;
 // answers are written, not parsed, on the hot path.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -129,8 +130,23 @@ class JsonValue {
   double AsDouble(double fallback = 0) const {
     return is_number() ? number_ : fallback;
   }
+  // A number that is not exactly a long (fractional, non-finite, or out of
+  // range) counts as the wrong type too.
   long AsLong(long fallback = 0) const {
-    return is_number() ? static_cast<long>(number_) : fallback;
+    long value = 0;
+    return ToLong(&value) ? value : fallback;
+  }
+  // Stores the number in *out iff it is finite, integral and within long's
+  // range; false otherwise (not a number, 1.5, 1e30, ...).
+  bool ToLong(long* out) const {
+    // -2^63 and 2^63 are exact doubles; the comparisons also reject NaN.
+    constexpr double kBound = 9223372036854775808.0;
+    if (!is_number() || !(number_ >= -kBound && number_ < kBound) ||
+        std::trunc(number_) != number_) {
+      return false;
+    }
+    *out = static_cast<long>(number_);
+    return true;
   }
   const std::string& AsString() const { return string_; }  // "" if not one.
 

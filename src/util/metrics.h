@@ -17,7 +17,7 @@
 // local and record once per clause / per index build (the evaluator's join
 // inner loop counts emissions in plain ints and flushes after each clause).
 // Registry methods themselves are thread-safe and may be called concurrently
-// from EvaluateParallel workers.
+// from the parallel evaluator's workers.
 
 #include <atomic>
 #include <chrono>

@@ -62,8 +62,8 @@ TEST(CostModelTest, CostBasedRewriteIsCorrectAndReasonable) {
   EXPECT_TRUE(chosen == RewriterKind::kLin || chosen == RewriterKind::kLog ||
               chosen == RewriterKind::kTw || chosen == RewriterKind::kTwStar);
   auto reference = ComputeCertainAnswers(*tbox, query, data);
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate(), reference.answers);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers, reference.answers);
 }
 
 TEST(CostModelTest, PrefersCheaperProgramOnSkewedData) {

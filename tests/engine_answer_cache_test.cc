@@ -87,7 +87,7 @@ class EngineAnswerCacheTest : public ::testing::Test {
 
   // The fresh-evaluation oracle over a mirror instance.
   std::vector<std::vector<int>> Oracle(const DataInstance& grown, int q) {
-    Evaluator eval(programs_[q], grown);
+    Evaluator eval(programs_[q], DataSnapshot::FromInstance(grown));
     ExecuteResult result = eval.Run(ExecuteRequest{});
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     return result.answers;

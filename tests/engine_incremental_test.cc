@@ -68,7 +68,7 @@ class EngineIncrementalTest : public ::testing::Test {
 
   // The full-evaluation oracle: a fresh evaluator over the mirror instance.
   std::vector<std::vector<int>> Oracle(const DataInstance& grown, int q) {
-    Evaluator eval(programs_[q], grown);
+    Evaluator eval(programs_[q], DataSnapshot::FromInstance(grown));
     ExecuteResult result = eval.Run(ExecuteRequest{});
     EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     return result.answers;

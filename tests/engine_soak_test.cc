@@ -130,7 +130,7 @@ TEST(EngineSoakTest, GovernedChaosKeepsAnswersExactAndAccountsToZero) {
   for (int v = 0; v <= kNumBatches; ++v) {
     if (v > 0) ApplyBatchToInstance(&grown, batches[v - 1]);
     for (int q = 0; q < kNumQueries; ++q) {
-      Evaluator eval(programs[q], grown);
+      Evaluator eval(programs[q], DataSnapshot::FromInstance(grown));
       expected[v].push_back(eval.Run(ExecuteRequest{}).answers);
     }
   }

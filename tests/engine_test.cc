@@ -155,7 +155,7 @@ TEST_F(EngineTest, PrepareCachesAndExecuteAnswersMatchSingleShot) {
   RewriteResult rewritten =
       RewriteOmqOrError(&ctx, q, warm.query->kind(), options);
   ASSERT_TRUE(rewritten.ok());
-  Evaluator single_shot(rewritten.program, data_);
+  Evaluator single_shot(rewritten.program, DataSnapshot::FromInstance(data_));
   ExecuteResult expected = single_shot.Run(ExecuteRequest{});
   EXPECT_EQ(result.answers, expected.answers);
   EXPECT_FALSE(result.answers.empty());
@@ -272,7 +272,7 @@ TEST_F(EngineTest, ApplyFactsIsCopyOnWriteAndVersioned) {
   DataInstance grown = data_;
   grown.AddRoleAssertion(r, n0, n1);
   grown.AddRoleAssertion(s, n1, n2);
-  Evaluator fresh(prepared.query->program(), grown);
+  Evaluator fresh(prepared.query->program(), DataSnapshot::FromInstance(grown));
   ExecuteResult expected = fresh.Run(ExecuteRequest{});
   EXPECT_EQ(after.answers, expected.answers);
 }

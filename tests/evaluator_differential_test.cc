@@ -106,8 +106,8 @@ TEST_P(DifferentialEvaluation, EvaluatorMatchesPeUnfolding) {
     ASSERT_TRUE(rp->program.IsNonrecursive());
     DataInstance data = MakeRandomData(&rp->vocab, &rng);
 
-    Evaluator eval(rp->program, data);
-    auto bottom_up = eval.Evaluate();
+    Evaluator eval(rp->program, DataSnapshot::FromInstance(data));
+    auto bottom_up = eval.Run({}).answers;
 
     bool truncated = false;
     PeFormula pe = UnfoldToPe(rp->program, 1 << 20, &truncated);
@@ -118,8 +118,8 @@ TEST_P(DifferentialEvaluation, EvaluatorMatchesPeUnfolding) {
 
     // The skinny transform must agree too.
     NdlProgram skinny = SkinnyTransform(rp->program);
-    Evaluator eval2(skinny, data);
-    EXPECT_EQ(eval2.Evaluate(), bottom_up) << "skinny, iter " << iter;
+    Evaluator eval2(skinny, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(eval2.Run({}).answers, bottom_up) << "skinny, iter " << iter;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "data/data_instance.h"
 #include "ndl/evaluator.h"
 #include "ndl/program.h"
@@ -36,29 +38,34 @@ DataInstance DenseGraph(Vocabulary* vocab, int n) {
   return data;
 }
 
+// Evaluates `program` over a snapshot freshly frozen from `data`, so every
+// run builds (and counts) its own indexes.
+ExecuteResult RunOver(const NdlProgram& program, const DataInstance& data,
+                      const ExecuteRequest& request = {}) {
+  return Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+}
+
 TEST(EvaluatorLimitsTest, BudgetAborts) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 30);  // 900 result tuples.
-  EvaluatorLimits limits;
-  limits.max_generated_tuples = 100;
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = 100;
+  ExecuteResult result = RunOver(program, data, request);
+  const EvaluationStats& stats = result.stats;
   EXPECT_TRUE(stats.aborted);
   EXPECT_LE(stats.generated_tuples, 102);
-  EXPECT_LT(answers.size(), 900u);
+  EXPECT_LT(result.answers.size(), 900u);
 }
 
 TEST(EvaluatorLimitsTest, NoBudgetCompletes) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 20);
-  Evaluator eval(program, data);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
-  EXPECT_FALSE(stats.aborted);
-  EXPECT_EQ(answers.size(), 400u);  // All pairs incl. (v, v) via a middle.
+  ExecuteResult result = RunOver(program, data);
+  EXPECT_FALSE(result.stats.aborted);
+  // All pairs incl. (v, v) via a middle.
+  EXPECT_EQ(result.answers.size(), 400u);
 }
 
 TEST(EvaluatorLimitsTest, DeadlineAborts) {
@@ -76,11 +83,9 @@ TEST(EvaluatorLimitsTest, DeadlineAborts) {
   program.AddClause(std::move(c));
   program.SetGoal(g);
   DataInstance data = DenseGraph(&vocab, 40);
-  EvaluatorLimits limits;
-  limits.deadline_ms = 5;
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  eval.Evaluate(&stats);
+  ExecuteRequest request;
+  request.limits.deadline_ms = 5;
+  const EvaluationStats stats = RunOver(program, data, request).stats;
   EXPECT_TRUE(stats.aborted);
   EXPECT_TRUE(stats.deadline_exceeded);
 }
@@ -89,23 +94,39 @@ TEST(EvaluatorLimitsTest, GenerousDeadlineCompletes) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 10);
-  EvaluatorLimits limits;
-  limits.deadline_ms = 60'000;
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
-  EXPECT_FALSE(stats.aborted);
-  EXPECT_FALSE(stats.deadline_exceeded);
-  EXPECT_EQ(answers.size(), 100u);
+  ExecuteRequest request;
+  request.limits.deadline_ms = 60'000;
+  ExecuteResult result = RunOver(program, data, request);
+  EXPECT_FALSE(result.stats.aborted);
+  EXPECT_FALSE(result.stats.deadline_exceeded);
+  EXPECT_EQ(result.answers.size(), 100u);
+}
+
+// A deadline too far out for the clock (now + deadline_ms would overflow
+// its nanosecond range) is no deadline: it must not wrap into the past and
+// abort at once.
+TEST(EvaluatorLimitsTest, UnrepresentableDeadlineIsUnlimited) {
+  Vocabulary vocab;
+  NdlProgram program = JoinProgram(&vocab);
+  DataInstance data = DenseGraph(&vocab, 10);
+  for (long deadline_ms : {10'000'000'000'000L, LONG_MAX}) {
+    ExecuteRequest request;
+    request.limits.deadline_ms = deadline_ms;
+    ExecuteResult result = RunOver(program, data, request);
+    EXPECT_TRUE(result.status.ok()) << deadline_ms;
+    EXPECT_FALSE(result.stats.aborted) << deadline_ms;
+    EXPECT_FALSE(result.stats.deadline_exceeded) << deadline_ms;
+    EXPECT_EQ(result.answers.size(), 100u) << deadline_ms;
+  }
 }
 
 TEST(EvaluatorLimitsTest, PerPredicateStats) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 10);
-  Evaluator eval(program, data);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
+  ExecuteResult result = RunOver(program, data);
+  const EvaluationStats& stats = result.stats;
+  const auto& answers = result.answers;
   ASSERT_EQ(stats.predicate_tuples.size(),
             static_cast<size_t>(program.num_predicates()));
   long sum = 0;
@@ -121,22 +142,19 @@ TEST(EvaluatorLimitsTest, BudgetLargerThanResultIsHarmless) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 10);
-  EvaluatorLimits limits;
-  limits.max_generated_tuples = 1'000'000;
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
-  EXPECT_FALSE(stats.aborted);
-  EXPECT_EQ(answers.size(), 100u);
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = 1'000'000;
+  ExecuteResult result = RunOver(program, data, request);
+  EXPECT_FALSE(result.stats.aborted);
+  EXPECT_EQ(result.answers.size(), 100u);
 }
 
 // G(x) <- A(x) & R(x, y) over a data instance where A holds one individual
 // and R is adversarially wide (every edge points into one hub).  The join
-// emits a single tuple, so the deadline can only be caught inside the EDB
-// materialisation / index-build loops — the paths a per-emission poll never
-// reaches.  Regression test for the pre-fix evaluator, which polled the
-// deadline only every 1024 join emissions and blew far past deadline_ms
-// here.
+// emits a single tuple, so the deadline can only be caught inside the
+// index-build loop — a path a per-emission poll never reaches.  Regression
+// test for the pre-fix evaluator, which polled the deadline only every 1024
+// join emissions and blew far past deadline_ms here.
 TEST(EvaluatorLimitsTest, DeadlineHonouredDuringIndexBuildOnWideEdb) {
   Vocabulary vocab;
   NdlProgram program(&vocab);
@@ -161,68 +179,12 @@ TEST(EvaluatorLimitsTest, DeadlineHonouredDuringIndexBuildOnWideEdb) {
     if (i == 0) data.AddConceptAssertion(concept_a, s);
   }
 
-  EvaluatorLimits limits;
-  limits.deadline_ms = 1;  // Materialising 500k rows takes well over 1 ms.
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  eval.Evaluate(&stats);
+  ExecuteRequest request;
+  // Indexing 500k rows takes well over 1 ms.
+  request.limits.deadline_ms = 1;
+  const EvaluationStats stats = RunOver(program, data, request).stats;
   EXPECT_TRUE(stats.aborted);
   EXPECT_TRUE(stats.deadline_exceeded);
-}
-
-// A deadline that trips while an EDB relation is still streaming in leaves
-// that extension silently incomplete; stats.partial_edbs must surface it,
-// and it must only ever appear together with a deadline abort.
-TEST(EvaluatorLimitsTest, PartialEdbReportedOnDeadlineCut) {
-  Vocabulary vocab;
-  NdlProgram program(&vocab);
-  int a = program.AddConceptPredicate(vocab.InternConcept("A"));
-  int r = program.AddRolePredicate(vocab.InternPredicate("R"));
-  int g = program.AddIdbPredicate("G", 1);
-  NdlClause c;
-  c.head = {g, {Term::Var(0)}};
-  c.body.push_back({a, {Term::Var(0)}});
-  c.body.push_back({r, {Term::Var(0), Term::Var(1)}});
-  program.AddClause(std::move(c));
-  program.SetGoal(g);
-
-  DataInstance data(&vocab);
-  int concept_a = vocab.InternConcept("A");
-  int role_r = vocab.InternPredicate("R");
-  int hub = data.AddIndividual("hub");
-  constexpr int kSpokes = 500'000;
-  for (int i = 0; i < kSpokes; ++i) {
-    int s = data.AddIndividual("s" + std::to_string(i));
-    data.AddRoleAssertion(role_r, s, hub);
-    if (i == 0) data.AddConceptAssertion(concept_a, s);
-  }
-
-  EvaluatorLimits limits;
-  limits.deadline_ms = 1;  // Streaming 500k rows takes well over 1 ms.
-  Evaluator eval(program, data, limits);
-  EvaluationStats stats;
-  eval.Evaluate(&stats);
-  EXPECT_TRUE(stats.aborted);
-  EXPECT_TRUE(stats.deadline_exceeded);
-  // The wide role relation is the first thing materialised, so the cut
-  // lands mid-stream and must be recorded.
-  EXPECT_GE(stats.partial_edbs, 1);
-  // The invariant documented on EvaluationStats: a nonzero partial_edbs
-  // implies the deadline-abort flags.
-  if (stats.partial_edbs > 0) {
-    EXPECT_TRUE(stats.aborted);
-    EXPECT_TRUE(stats.deadline_exceeded);
-  }
-}
-
-TEST(EvaluatorLimitsTest, NoPartialEdbsWithoutDeadline) {
-  Vocabulary vocab;
-  NdlProgram program = JoinProgram(&vocab);
-  DataInstance data = DenseGraph(&vocab, 20);
-  EvaluationStats stats;
-  Evaluator(program, data).Evaluate(&stats);
-  EXPECT_FALSE(stats.aborted);
-  EXPECT_EQ(stats.partial_edbs, 0);
 }
 
 // The limits machinery and the stats fields must behave identically on the
@@ -232,14 +194,16 @@ TEST(EvaluatorLimitsTest, SequentialAndParallelStatsAgree) {
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 20);
 
-  EvaluationStats seq_stats;
-  auto seq_answers =
-      Evaluator(program, data).Evaluate(&seq_stats);
-  EvaluationStats par_stats;
-  auto par_answers =
-      Evaluator(program, data).EvaluateParallel(4, &par_stats);
+  // One snapshot per run, so each run builds its indexes itself and
+  // index_builds compares like for like.
+  ExecuteResult seq = RunOver(program, data);
+  ExecuteRequest parallel;
+  parallel.num_threads = 4;
+  ExecuteResult par = RunOver(program, data, parallel);
+  const EvaluationStats& seq_stats = seq.stats;
+  const EvaluationStats& par_stats = par.stats;
 
-  EXPECT_EQ(seq_answers, par_answers);
+  EXPECT_EQ(seq.answers, par.answers);
   EXPECT_EQ(seq_stats.generated_tuples, par_stats.generated_tuples);
   EXPECT_EQ(seq_stats.goal_tuples, par_stats.goal_tuples);
   EXPECT_EQ(seq_stats.predicates_evaluated, par_stats.predicates_evaluated);
@@ -255,13 +219,12 @@ TEST(EvaluatorLimitsTest, SequentialAndParallelAbortFlagsAgree) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
   DataInstance data = DenseGraph(&vocab, 30);
-  EvaluatorLimits limits;
-  limits.max_generated_tuples = 100;
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = 100;
 
-  EvaluationStats seq_stats;
-  Evaluator(program, data, limits).Evaluate(&seq_stats);
-  EvaluationStats par_stats;
-  Evaluator(program, data, limits).EvaluateParallel(4, &par_stats);
+  const EvaluationStats seq_stats = RunOver(program, data, request).stats;
+  request.num_threads = 4;
+  const EvaluationStats par_stats = RunOver(program, data, request).stats;
 
   // Tuple counts differ under an abort (workers race to the budget), but
   // the flags and the stats shape must agree.

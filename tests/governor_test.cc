@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -150,8 +151,9 @@ TEST(GovernorMemoryTest, ScanChargesExactlyTheGoalArena) {
   MemoryAccount account(&budget);
   Evaluator eval(program, snapshot);
   eval.set_memory_account(&account);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
+  ExecuteResult result = eval.Run({});
+  const EvaluationStats& stats = result.stats;
+  const auto& answers = result.answers;
   ASSERT_FALSE(stats.aborted);
   ASSERT_EQ(answers.size(), r_rows.size());
 
@@ -171,14 +173,13 @@ TEST(GovernorMemoryTest, ScanChargesExactlyTheGoalArena) {
   // water equals the retained arena byte for byte.
   MemoryBudget scalar_budget(0);
   MemoryAccount scalar_account(&scalar_budget);
-  EvaluatorLimits scalar_limits;
-  scalar_limits.batch_rows = 0;
-  Evaluator scalar_eval(program, snapshot, scalar_limits);
+  ExecuteRequest scalar_request;
+  scalar_request.limits.batch_rows = 0;
+  Evaluator scalar_eval(program, snapshot);
   scalar_eval.set_memory_account(&scalar_account);
-  EvaluationStats scalar_stats;
-  auto scalar_answers = scalar_eval.Evaluate(&scalar_stats);
-  ASSERT_FALSE(scalar_stats.aborted);
-  EXPECT_EQ(scalar_answers, answers);
+  ExecuteResult scalar = scalar_eval.Run(scalar_request);
+  ASSERT_FALSE(scalar.stats.aborted);
+  EXPECT_EQ(scalar.answers, answers);
   EXPECT_EQ(scalar_account.used(), replay.MemoryBytes());
   EXPECT_EQ(scalar_account.high_water(), replay.MemoryBytes());
 }
@@ -193,9 +194,7 @@ TEST(GovernorMemoryTest, BudgetReturnsToZeroAfterExecution) {
     MemoryAccount account(&budget);
     Evaluator eval(program, snapshot);
     eval.set_memory_account(&account);
-    EvaluationStats stats;
-    eval.Evaluate(&stats);
-    EXPECT_FALSE(stats.aborted);
+    EXPECT_FALSE(eval.Run({}).stats.aborted);
     EXPECT_GT(budget.used(), 0u);
   }
   EXPECT_EQ(budget.used(), 0u);
@@ -486,6 +485,25 @@ TEST(AdmissionTest, QueueTimeoutSheds) {
   EXPECT_EQ(shed.status().code(), StatusCode::kRejected);
   EXPECT_GE(waited_ms, 25.0);  // It genuinely waited its turn.
   EXPECT_EQ(governor.counters().rejected_timeout, 1);
+}
+
+// A queue timeout too far out for the clock (now + timeout would overflow
+// its nanosecond range) is no timeout: the request must wait for the slot,
+// not wrap into the past and shed at once.
+TEST(AdmissionTest, UnrepresentableQueueTimeoutWaitsForTheSlot) {
+  GovernorOptions options;
+  options.max_concurrent = 1;
+  QueryGovernor governor(options);
+  auto slot = std::make_unique<QueryGovernor::Admission>(governor.Admit());
+  ASSERT_TRUE(slot->admitted());
+  std::thread releaser([&slot] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    slot.reset();
+  });
+  auto admission = governor.Admit(/*request_timeout_ms=*/LONG_MAX);
+  releaser.join();
+  EXPECT_TRUE(admission.admitted()) << admission.status().ToString();
+  EXPECT_EQ(governor.counters().rejected_timeout, 0);
 }
 
 TEST(AdmissionTest, ReleaseHandsSlotToWaitersInFifoOrder) {

@@ -46,17 +46,17 @@ TEST(InconsistencyGuardTest, ConceptDisjointness) {
   consistent.Assert("A", "b");
   consistent.Assert("Male", "a");
   EXPECT_TRUE(IsConsistent(s.tbox, consistent));
-  Evaluator e1(program, consistent);
-  EXPECT_EQ(e1.Evaluate().size(), 1u);  // Just {a}.
+  Evaluator e1(program, DataSnapshot::FromInstance(consistent));
+  EXPECT_EQ(e1.Run({}).answers.size(), 1u);  // Just {a}.
 
   DataInstance inconsistent(&s.vocab);
   inconsistent.Assert("R", "a", "b");
   inconsistent.Assert("Male", "c");
   inconsistent.Assert("Female", "c");
   EXPECT_FALSE(IsConsistent(s.tbox, inconsistent));
-  Evaluator e2(program, inconsistent);
+  Evaluator e2(program, DataSnapshot::FromInstance(inconsistent));
   // Every individual becomes an answer.
-  EXPECT_EQ(e2.Evaluate().size(),
+  EXPECT_EQ(e2.Run({}).answers.size(),
             static_cast<size_t>(inconsistent.num_individuals()));
 }
 
@@ -77,8 +77,8 @@ TEST(InconsistencyGuardTest, DerivedConceptClash) {
   data.Assert("Dog", "b");
   data.Assert("Plant", "b");
   EXPECT_FALSE(IsConsistent(s.tbox, data));
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate().size(), 2u);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers.size(), 2u);
 }
 
 TEST(InconsistencyGuardTest, AnonymousClash) {
@@ -104,14 +104,14 @@ TEST(InconsistencyGuardTest, AnonymousClash) {
   no_b.Assert("R", "a", "b");
   no_b.Assert("A", "b");
   EXPECT_TRUE(IsConsistent(s.tbox, no_b));
-  Evaluator e1(program, no_b);
-  EXPECT_EQ(e1.Evaluate().size(), 1u);
+  Evaluator e1(program, DataSnapshot::FromInstance(no_b));
+  EXPECT_EQ(e1.Run({}).answers.size(), 1u);
 
   DataInstance with_b = no_b;
   with_b.Assert("B", "c");
   EXPECT_FALSE(IsConsistent(s.tbox, with_b));
-  Evaluator e2(program, with_b);
-  EXPECT_EQ(e2.Evaluate().size(), 3u);
+  Evaluator e2(program, DataSnapshot::FromInstance(with_b));
+  EXPECT_EQ(e2.Run({}).answers.size(), 3u);
 }
 
 TEST(InconsistencyGuardTest, RoleDisjointnessAndIrreflexivity) {
@@ -130,22 +130,22 @@ TEST(InconsistencyGuardTest, RoleDisjointnessAndIrreflexivity) {
   overlap.Assert("P", "a", "b");
   overlap.Assert("Q", "a", "b");
   EXPECT_FALSE(IsConsistent(s.tbox, overlap));
-  Evaluator e1(program, overlap);
-  EXPECT_EQ(e1.Evaluate().size(), 2u);
+  Evaluator e1(program, DataSnapshot::FromInstance(overlap));
+  EXPECT_EQ(e1.Run({}).answers.size(), 2u);
 
   DataInstance loop(&s.vocab);
   loop.Assert("P", "a", "a");
   loop.Assert("R", "a", "b");
   EXPECT_FALSE(IsConsistent(s.tbox, loop));
-  Evaluator e2(program, loop);
-  EXPECT_EQ(e2.Evaluate().size(), 2u);
+  Evaluator e2(program, DataSnapshot::FromInstance(loop));
+  EXPECT_EQ(e2.Run({}).answers.size(), 2u);
 
   DataInstance fine(&s.vocab);
   fine.Assert("P", "a", "b");
   fine.Assert("Q", "b", "a");
   EXPECT_TRUE(IsConsistent(s.tbox, fine));
-  Evaluator e3(program, fine);
-  EXPECT_TRUE(e3.Evaluate().empty());
+  Evaluator e3(program, DataSnapshot::FromInstance(fine));
+  EXPECT_TRUE(e3.Run({}).answers.empty());
 }
 
 }  // namespace

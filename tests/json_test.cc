@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 namespace owlqr {
@@ -164,6 +165,23 @@ TEST(JsonParserTest, DuplicateKeysKeepTheLastOccurrence) {
   ASSERT_TRUE(JsonValue::Parse(R"({"k": 1, "k": 2})", &v));
   EXPECT_EQ(v.Find("k")->AsLong(), 2);
   EXPECT_EQ(v.size(), 1u);
+}
+
+// AsLong/ToLong accept only numbers that are exactly a long: a cast of
+// 1e30 would be undefined, and 2.5 or 2^63 would silently change value.
+TEST(JsonParserTest, NumbersThatAreNotExactLongsFallBack) {
+  JsonValue v;
+  long out = 0;
+  for (const char* text : {"1e30", "-1e30", "2.5", "9223372036854775807"}) {
+    ASSERT_TRUE(JsonValue::Parse(text, &v)) << text;
+    EXPECT_FALSE(v.ToLong(&out)) << text;
+    EXPECT_EQ(v.AsLong(7), 7) << text;
+  }
+  ASSERT_TRUE(JsonValue::Parse("-9223372036854775808", &v));
+  ASSERT_TRUE(v.ToLong(&out));
+  EXPECT_EQ(out, std::numeric_limits<long>::min());
+  ASSERT_TRUE(JsonValue::Parse("4294967297", &v));
+  EXPECT_EQ(v.AsLong(), 4294967297L);
 }
 
 TEST(JsonParserTest, TypedAccessorsFallBackOnWrongType) {

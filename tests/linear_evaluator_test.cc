@@ -31,8 +31,8 @@ TEST(LinearReachabilityTest, AgreesWithBottomUpOnLinRewritings) {
     NdlProgram program = std::move(program_rw.program);
     ASSERT_TRUE(program.IsLinear()) << word;
 
-    Evaluator eval(program, data);
-    auto answers = eval.Evaluate();
+    Evaluator eval(program, DataSnapshot::FromInstance(data));
+    auto answers = eval.Run({}).answers;
     std::set<std::vector<int>> answer_set(answers.begin(), answers.end());
 
     LinearReachabilityEvaluator reach(program, data);

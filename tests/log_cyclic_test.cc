@@ -76,16 +76,16 @@ TEST_P(CyclicQueries, LogAndUcqMatchReferenceOnCycles) {
     RewriteResult program_rw = RewriteOmqOrError(&ctx, q, kind, options);
     OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
     NdlProgram program = std::move(program_rw.program);
-    Evaluator eval(program, data);
-    EXPECT_EQ(eval.Evaluate(), reference.answers)
+    Evaluator eval(program, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(eval.Run({}).answers, reference.answers)
         << RewriterName(kind) << "\n"
         << q.ToString();
 
     // Lemma 5 on the real rewriting: the skinny form stays equivalent.
     NdlProgram skinny = SkinnyTransform(program);
     EXPECT_TRUE(skinny.IsSkinny());
-    Evaluator eval2(skinny, data);
-    EXPECT_EQ(eval2.Evaluate(), reference.answers)
+    Evaluator eval2(skinny, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(eval2.Run({}).answers, reference.answers)
         << RewriterName(kind) << " (skinny)";
   }
 }
@@ -109,8 +109,8 @@ TEST(LinRootChoiceTest, AnyRootGivesTheSameAnswers) {
     EXPECT_TRUE(lin.IsLinear()) << "root " << root;
     NdlProgram program =
         LinearStarTransform(lin, ctx.tbox(), ctx.saturation());
-    Evaluator eval(program, data);
-    EXPECT_EQ(eval.Evaluate(), reference.answers) << "root " << root;
+    Evaluator eval(program, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(eval.Run({}).answers, reference.answers) << "root " << root;
   }
 }
 

@@ -45,8 +45,8 @@ TEST(MappingParserTest, ParseAndRun) {
   NdlProgram rewriting = std::move(rewriting_rw.program);
   NdlProgram unfolded = UnfoldThroughMapping(rewriting, mapping);
   DataInstance empty(&vocab);
-  Evaluator eval(unfolded, empty, tables);
-  auto answers = eval.Evaluate();
+  Evaluator eval(unfolded, DataSnapshot::FromInstance(empty, &tables));
+  auto answers = eval.Run({}).answers;
   ASSERT_EQ(answers.size(), 2u);  // ann (anonymous course) and bob.
 }
 

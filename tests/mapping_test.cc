@@ -86,15 +86,16 @@ TEST(MappingTest, UnfoldingAvoidsMaterialisation) {
     RewriteResult rewriting_rw = RewriteOmqOrError(&ctx, s.query, kind, options);
     OWLQR_CHECK_MSG(rewriting_rw.ok(), rewriting_rw.status.message().c_str());
     NdlProgram rewriting = std::move(rewriting_rw.program);
-    Evaluator over_abox(rewriting, virtual_abox);
-    auto expected = over_abox.Evaluate();
+    Evaluator over_abox(rewriting, DataSnapshot::FromInstance(virtual_abox));
+    auto expected = over_abox.Run({}).answers;
 
     // The unfolded pipeline: evaluate directly over the source tables.
     NdlProgram unfolded = UnfoldThroughMapping(rewriting, *s.mapping);
     ASSERT_TRUE(unfolded.IsNonrecursive());
     DataInstance empty(&s.vocab);
-    Evaluator over_tables(unfolded, empty, s.tables);
-    EXPECT_EQ(over_tables.Evaluate(), expected) << RewriterName(kind);
+    Evaluator over_tables(unfolded,
+                          DataSnapshot::FromInstance(empty, &s.tables));
+    EXPECT_EQ(over_tables.Run({}).answers, expected) << RewriterName(kind);
 
     // And both agree with the reference engine over M(D): ann and dana get
     // anonymous courses, bob a real one.
@@ -118,8 +119,8 @@ TEST(MappingTest, UnmappedPredicatesAreEmpty) {
   NdlProgram rewriting = std::move(rewriting_rw.program);
   NdlProgram unfolded = UnfoldThroughMapping(rewriting, *s.mapping);
   DataInstance empty(&s.vocab);
-  Evaluator eval(unfolded, empty, s.tables);
-  EXPECT_TRUE(eval.Evaluate().empty());
+  Evaluator eval(unfolded, DataSnapshot::FromInstance(empty, &s.tables));
+  EXPECT_TRUE(eval.Run({}).answers.empty());
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ TEST(MetricsTest, ConcurrentRecordingIsThreadSafe) {
             static_cast<size_t>(kThreads) * kOps);
 }
 
-// The registry collects from EvaluateParallel workers: every clause
+// The registry collects from parallel-evaluator workers: every clause
 // evaluation emits a span and flushes its emission tallies concurrently.
 TEST(MetricsTest, EvaluateParallelReportsThroughGlobalRegistry) {
   GlobalRegistry global;
@@ -202,10 +202,12 @@ TEST(MetricsTest, EvaluateParallelReportsThroughGlobalRegistry) {
     }
   }
 
-  EvaluationStats stats;
-  Evaluator eval(program, data);
-  auto answers = eval.EvaluateParallel(4, &stats);
-  EXPECT_FALSE(answers.empty());
+  ExecuteRequest request;
+  request.num_threads = 4;
+  ExecuteResult result =
+      Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+  const EvaluationStats& stats = result.stats;
+  EXPECT_FALSE(result.answers.empty());
 
   // One evaluate/join span per clause, all closed.
   long join_spans = 0;

@@ -32,8 +32,8 @@ TEST(NdlParserTest, BasicProgram) {
   DataInstance data(&vocab);
   data.Assert("R", "a", "b");
   data.Assert("S", "b", "c");
-  Evaluator eval(*program, data);
-  auto answers = eval.Evaluate();
+  Evaluator eval(*program, DataSnapshot::FromInstance(data));
+  auto answers = eval.Run({}).answers;
   // (a, c) via S, plus (a, b) via the equality clause.
   EXPECT_EQ(answers.size(), 2u);
 }
@@ -50,8 +50,8 @@ TEST(NdlParserTest, ConstantsInBody) {
   DataInstance data(&vocab);
   data.Assert("R", "ann", "bob");
   data.Assert("R", "cid", "dee");
-  Evaluator eval(*program, data);
-  auto answers = eval.Evaluate();
+  Evaluator eval(*program, DataSnapshot::FromInstance(data));
+  auto answers = eval.Run({}).answers;
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0][0], vocab.FindIndividual("ann"));
 }
@@ -89,9 +89,9 @@ TEST_P(RoundTrip, PrintParseEvaluate) {
   data.Assert("R", "a", "b");
   data.Assert("P", "b", "x");
   data.Assert("R", "b", "c");
-  Evaluator e1(program, data);
-  Evaluator e2(*reparsed, data);
-  EXPECT_EQ(e1.Evaluate(), e2.Evaluate());
+  Evaluator e1(program, DataSnapshot::FromInstance(data));
+  Evaluator e2(*reparsed, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -101,9 +101,10 @@ TEST(EvaluatorTest, ChainJoin) {
   data.Assert("R", "a", "b");
   data.Assert("R", "b", "c");
   data.Assert("R", "c", "d");
-  Evaluator eval(program, data);
-  EvaluationStats stats;
-  auto answers = eval.Evaluate(&stats);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  ExecuteResult result = eval.Run({});
+  const auto& answers = result.answers;
+  const EvaluationStats& stats = result.stats;
   // Paths of length 2: (a,c), (b,d).
   ASSERT_EQ(answers.size(), 2u);
   int a = vocab.FindIndividual("a"), b = vocab.FindIndividual("b");
@@ -132,8 +133,8 @@ TEST(EvaluatorTest, EqualityBindsVariables) {
   DataInstance data(&vocab);
   data.Assert("A", "a");
   data.Assert("A", "b");
-  Evaluator eval(program, data);
-  auto answers = eval.Evaluate();
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  auto answers = eval.Run({}).answers;
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0][0], answers[0][1]);
 }
@@ -152,8 +153,8 @@ TEST(EvaluatorTest, AdomEnumerates) {
   DataInstance data(&vocab);
   data.Assert("A", "a");
   data.Assert("R", "b", "c");
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate().size(), 3u);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers.size(), 3u);
 }
 
 TEST(EvaluatorTest, ConstantsInBody) {
@@ -171,8 +172,8 @@ TEST(EvaluatorTest, ConstantsInBody) {
   DataInstance data(&vocab);
   data.Assert("R", "a", "b");
   data.Assert("R", "c", "d");
-  Evaluator eval(program, data);
-  auto answers = eval.Evaluate();
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  auto answers = eval.Run({}).answers;
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0][0], vocab.FindIndividual("a"));
 }
@@ -191,8 +192,8 @@ TEST(EvaluatorTest, RepeatedVariableInAtom) {
   DataInstance data(&vocab);
   data.Assert("R", "a", "a");
   data.Assert("R", "a", "b");
-  Evaluator eval(program, data);
-  auto answers = eval.Evaluate();
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  auto answers = eval.Run({}).answers;
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0][0], vocab.FindIndividual("a"));
 }
@@ -216,8 +217,8 @@ TEST(EvaluatorTest, DisjunctionAcrossClauses) {
   data.Assert("B", "b");
   data.Assert("A", "c");
   data.Assert("B", "c");
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate().size(), 3u);  // Deduplicated.
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers.size(), 3u);  // Deduplicated.
 }
 
 TEST(EvaluatorTest, ZeroAryGoal) {
@@ -232,11 +233,14 @@ TEST(EvaluatorTest, ZeroAryGoal) {
   program.SetGoal(g);
 
   DataInstance empty(&vocab);
-  EXPECT_TRUE(Evaluator(program, empty).Evaluate().empty());
+  EXPECT_TRUE(Evaluator(program, DataSnapshot::FromInstance(empty))
+                  .Run({})
+                  .answers.empty());
 
   DataInstance data(&vocab);
   data.Assert("A", "a");
-  auto answers = Evaluator(program, data).Evaluate();
+  auto answers =
+      Evaluator(program, DataSnapshot::FromInstance(data)).Run({}).answers;
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_TRUE(answers[0].empty());
 }

@@ -29,15 +29,15 @@ TEST(OptimizeTest, EmptyPredicateClausesDropped) {
   int a_p = tbox->ExistsConcept(RoleOf(vocab.FindPredicate("P")));
   data.AddConceptAssertion(a_p, vocab.FindIndividual("b"));
 
-  Evaluator baseline(program, data);
-  auto expected = baseline.Evaluate();
+  Evaluator baseline(program, DataSnapshot::FromInstance(data));
+  auto expected = baseline.Run({}).answers;
 
   NdlProgram optimized = program;
   int removed = DropEmptyPredicateClauses(&optimized, data);
   EXPECT_GT(removed, 0);
   EXPECT_LT(optimized.num_clauses(), program.num_clauses());
-  Evaluator eval(optimized, data);
-  EXPECT_EQ(eval.Evaluate(), expected);
+  Evaluator eval(optimized, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers, expected);
 }
 
 TEST(OptimizeTest, DuplicateClausesSubsumed) {
@@ -134,9 +134,9 @@ TEST(OptimizeTest, SubsumptionPreservesRewritingAnswers) {
     data.Assert("P", "b", "z");
     data.Assert("S", "b", "c");
     data.Assert("R", "c", "d");
-    Evaluator e1(program, data);
-    Evaluator e2(optimized, data);
-    EXPECT_EQ(e1.Evaluate(), e2.Evaluate()) << RewriterName(kind);
+    Evaluator e1(program, DataSnapshot::FromInstance(data));
+    Evaluator e2(optimized, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers) << RewriterName(kind);
   }
 }
 

@@ -14,6 +14,15 @@
 namespace owlqr {
 namespace {
 
+// Evaluates `program` over `snapshot` on `threads` workers (1: sequential).
+ExecuteResult RunOn(const NdlProgram& program,
+                    std::shared_ptr<const DataSnapshot> snapshot,
+                    int threads) {
+  ExecuteRequest request;
+  request.num_threads = threads;
+  return Evaluator(program, std::move(snapshot)).Run(request);
+}
+
 TEST(TopologicalLevelsTest, LevelsAreDependenceRanks) {
   Vocabulary vocab;
   NdlProgram program(&vocab);
@@ -50,6 +59,7 @@ TEST_P(ParallelAgreement, ParallelMatchesSequential) {
   std::mt19937_64 rng(500 + threads);
   DatasetConfig config{"p", 80, 0.1, 0.1, 99};
   DataInstance data = GenerateDataset(&vocab, *tbox, config);
+  auto snapshot = DataSnapshot::FromInstance(data);
 
   for (int seq = 0; seq < 3; ++seq) {
     std::string word(std::vector<const char*>{kSequence1, kSequence2, kSequence3}[seq], 0, 8);
@@ -61,15 +71,11 @@ TEST_P(ParallelAgreement, ParallelMatchesSequential) {
       RewriteResult program_rw = RewriteOmqOrError(&ctx, q, kind, options);
       OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
       NdlProgram program = std::move(program_rw.program);
-      Evaluator sequential(program, data);
-      EvaluationStats s1;
-      auto expected = sequential.Evaluate(&s1);
-      Evaluator parallel(program, data);
-      EvaluationStats s2;
-      auto actual = parallel.EvaluateParallel(threads, &s2);
-      EXPECT_EQ(actual, expected)
+      const ExecuteResult sequential = RunOn(program, snapshot, 1);
+      const ExecuteResult parallel = RunOn(program, snapshot, threads);
+      EXPECT_EQ(parallel.answers, sequential.answers)
           << RewriterName(kind) << " seq " << seq << " threads " << threads;
-      EXPECT_EQ(s1.goal_tuples, s2.goal_tuples);
+      EXPECT_EQ(sequential.stats.goal_tuples, parallel.stats.goal_tuples);
     }
   }
 }
@@ -79,9 +85,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelAgreement,
 
 // Regression for the kTableEdb pre-materialisation race: a mapped
 // (TableStore-backed) program whose first dependence level is wide enough
-// that >= 4 workers race to materialise and index the shared table EDB.
-// Run under ThreadSanitizer (ctest -L sanitize in an OWLQR_SANITIZE=thread
-// build) this proves table rows are frozen before workers start.
+// that >= 4 workers race to read and index the shared table EDB.  Run under
+// ThreadSanitizer (ctest -L sanitize in an OWLQR_SANITIZE=thread build)
+// this proves the snapshot's frozen table rows and its shared index cache
+// are safe to hit from every worker at once.
 TEST(ParallelRegressionTest, TableEdbIsPreMaterialized) {
   Vocabulary vocab;
   DataInstance empty(&vocab);
@@ -104,7 +111,7 @@ TEST(ParallelRegressionTest, TableEdbIsPreMaterialized) {
   int t = program.AddTablePredicate("edges", 2, edges);
   int goal = program.AddIdbPredicate("G", 2);
   // Many independent level-1 predicates, each joining the table with
-  // itself (forcing concurrent EdbRows + GetIndex on the same predicate).
+  // itself (forcing concurrent reads + GetIndex on the same predicate).
   for (int k = 0; k < 24; ++k) {
     int p = program.AddIdbPredicate("P" + std::to_string(k), 2);
     NdlClause c;
@@ -119,22 +126,20 @@ TEST(ParallelRegressionTest, TableEdbIsPreMaterialized) {
   }
   program.SetGoal(goal);
 
-  Evaluator sequential(program, empty, tables);
-  EvaluationStats s1;
-  auto expected = sequential.Evaluate(&s1);
-  EXPECT_FALSE(expected.empty());
+  auto snapshot = DataSnapshot::FromInstance(empty, &tables);
+  const ExecuteResult sequential = RunOn(program, snapshot, 1);
+  EXPECT_FALSE(sequential.answers.empty());
   for (int threads : {4, 8}) {
-    Evaluator parallel(program, empty, tables);
-    EvaluationStats s2;
-    auto actual = parallel.EvaluateParallel(threads, &s2);
-    EXPECT_EQ(actual, expected) << "threads " << threads;
-    EXPECT_EQ(s1.goal_tuples, s2.goal_tuples);
+    const ExecuteResult parallel = RunOn(program, snapshot, threads);
+    EXPECT_EQ(parallel.answers, sequential.answers) << "threads " << threads;
+    EXPECT_EQ(sequential.stats.goal_tuples, parallel.stats.goal_tuples);
   }
 }
 
 // Regression for the lazy ActiveDomain race: the only active-domain use is
 // the both-variables-open equality path, reached concurrently by several
-// level-1 predicates.  EvaluateParallel must compute the domain eagerly.
+// level-1 predicates.  The domain must be complete before workers start —
+// it is frozen in the snapshot, table cells included.
 TEST(ParallelRegressionTest, AdomViaOpenEqualityIsEager) {
   Vocabulary vocab;
   DataInstance data(&vocab);
@@ -163,20 +168,20 @@ TEST(ParallelRegressionTest, AdomViaOpenEqualityIsEager) {
   }
   program.SetGoal(goal);
 
-  Evaluator sequential(program, data, tables);
-  auto expected = sequential.Evaluate();
+  auto snapshot = DataSnapshot::FromInstance(data, &tables);
+  const auto expected = RunOn(program, snapshot, 1).answers;
   // adom = 1500 ABox individuals + 500 table cells.
   EXPECT_EQ(expected.size(), 2000u);
   for (int threads : {4, 8}) {
-    Evaluator parallel(program, data, tables);
-    auto actual = parallel.EvaluateParallel(threads);
-    EXPECT_EQ(actual, expected) << "threads " << threads;
+    EXPECT_EQ(RunOn(program, snapshot, threads).answers, expected)
+        << "threads " << threads;
   }
 }
 
 // Randomized differential check across programs mixing role/concept EDBs,
-// table EDBs, equality atoms and adom atoms: EvaluateParallel(k) must agree
-// with Evaluate() exactly, including goal_tuples, for k in {2, 4, 8}.
+// table EDBs, equality atoms and adom atoms: a run on k workers must agree
+// with the sequential run exactly, including goal_tuples, for k in
+// {2, 4, 8}.
 TEST(ParallelRegressionTest, RandomizedDifferential) {
   for (unsigned seed = 0; seed < 12; ++seed) {
     std::mt19937_64 rng(1234 + seed);
@@ -277,15 +282,13 @@ TEST(ParallelRegressionTest, RandomizedDifferential) {
     program.SetGoal(goal);
     ASSERT_TRUE(program.IsNonrecursive());
 
-    Evaluator sequential(program, data, tables);
-    EvaluationStats s1;
-    auto expected = sequential.Evaluate(&s1);
+    auto snapshot = DataSnapshot::FromInstance(data, &tables);
+    const ExecuteResult sequential = RunOn(program, snapshot, 1);
     for (int threads : {2, 4, 8}) {
-      Evaluator parallel(program, data, tables);
-      EvaluationStats s2;
-      auto actual = parallel.EvaluateParallel(threads, &s2);
-      EXPECT_EQ(actual, expected) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(s1.goal_tuples, s2.goal_tuples)
+      const ExecuteResult parallel = RunOn(program, snapshot, threads);
+      EXPECT_EQ(parallel.answers, sequential.answers)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(sequential.stats.goal_tuples, parallel.stats.goal_tuples)
           << "seed " << seed << " threads " << threads;
     }
   }

@@ -30,8 +30,8 @@ void CheckRewriter(RewritingContext* ctx, const ConjunctiveQuery& query,
   OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
   NdlProgram program = std::move(program_rw.program);
   ASSERT_TRUE(program.IsNonrecursive()) << label;
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate(), expected)
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers, expected)
       << label << " kind=" << RewriterName(kind) << "\n"
       << query.ToString();
 
@@ -41,8 +41,8 @@ void CheckRewriter(RewritingContext* ctx, const ConjunctiveQuery& query,
   NdlProgram complete_program = std::move(complete_program_rw.program);
   DataInstance completed =
       CompleteInstance(data, ctx->tbox(), ctx->saturation());
-  Evaluator eval2(complete_program, completed);
-  EXPECT_EQ(eval2.Evaluate(), expected)
+  Evaluator eval2(complete_program, DataSnapshot::FromInstance(completed));
+  EXPECT_EQ(eval2.Run({}).answers, expected)
       << label << " (complete) kind=" << RewriterName(kind) << "\n"
       << query.ToString();
 }
@@ -109,9 +109,9 @@ TEST(TwRewriterTest, InliningPreservesAnswers) {
   OWLQR_CHECK_MSG(tw_star_rw.ok(), tw_star_rw.status.message().c_str());
   NdlProgram tw_star = std::move(tw_star_rw.program);
   EXPECT_LE(tw_star.num_clauses(), tw.num_clauses());
-  Evaluator e1(tw, data);
-  Evaluator e2(tw_star, data);
-  EXPECT_EQ(e1.Evaluate(), e2.Evaluate());
+  Evaluator e1(tw, DataSnapshot::FromInstance(data));
+  Evaluator e2(tw_star, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers);
 }
 
 TEST(RewriterTest, Example8EndToEnd) {

@@ -80,6 +80,16 @@ NdlProgram RandomLayeredProgram(Vocabulary* vocab, std::mt19937_64* rng) {
   return program;
 }
 
+// Evaluates `program` over `snapshot` on `threads` workers (1: sequential).
+ExecuteResult RunOn(const NdlProgram& program,
+                    std::shared_ptr<const DataSnapshot> snapshot, int threads,
+                    const EvaluatorLimits& limits = {}) {
+  ExecuteRequest request;
+  request.limits = limits;
+  request.num_threads = threads;
+  return Evaluator(program, std::move(snapshot)).Run(request);
+}
+
 // Sequential, DAG-scheduled, and morsel-forced evaluation must produce the
 // same sorted answers and the same per-predicate tuple counts, at every
 // thread count.
@@ -90,33 +100,30 @@ TEST(SchedulerMorselTest, RandomizedDifferential) {
     NdlProgram program = RandomLayeredProgram(&vocab, &rng);
     ASSERT_TRUE(program.IsNonrecursive());
     DataInstance data = RandomGraph(&vocab, &rng, 40, 300);
+    auto snapshot = DataSnapshot::FromInstance(data);
 
-    EvaluationStats seq_stats;
-    auto expected = Evaluator(program, data).Evaluate(&seq_stats);
+    const ExecuteResult seq = RunOn(program, snapshot, 1);
 
     for (int threads : {1, 2, 8}) {
       // DAG scheduler with the default morsel threshold (rarely splits at
       // this scale: exercises pure inter-predicate parallelism).
-      EvaluationStats dag_stats;
-      auto dag =
-          Evaluator(program, data).EvaluateParallel(threads, &dag_stats);
-      EXPECT_EQ(dag, expected) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(dag_stats.predicate_tuples, seq_stats.predicate_tuples)
+      const ExecuteResult dag = RunOn(program, snapshot, threads);
+      EXPECT_EQ(dag.answers, seq.answers)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(dag.stats.predicate_tuples, seq.stats.predicate_tuples)
           << "seed " << seed << " threads " << threads;
 
       // Morsel threshold forced low: every clause whose driver scans more
       // than 16 rows fans out into shards that the owner merges.
       EvaluatorLimits limits;
       limits.morsel_rows = 16;
-      EvaluationStats morsel_stats;
-      auto morsel = Evaluator(program, data, limits)
-                        .EvaluateParallel(threads, &morsel_stats);
-      EXPECT_EQ(morsel, expected)
+      const ExecuteResult morsel = RunOn(program, snapshot, threads, limits);
+      EXPECT_EQ(morsel.answers, seq.answers)
           << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(morsel_stats.predicate_tuples, seq_stats.predicate_tuples)
+      EXPECT_EQ(morsel.stats.predicate_tuples, seq.stats.predicate_tuples)
           << "seed " << seed << " threads " << threads;
       if (threads > 1) {
-        EXPECT_GE(morsel_stats.morsels, morsel_stats.morsel_batches);
+        EXPECT_GE(morsel.stats.morsels, morsel.stats.morsel_batches);
       }
     }
   }
@@ -140,17 +147,16 @@ TEST(SchedulerMorselTest, SingleHeavyTaskFansOut) {
 
   std::mt19937_64 rng(4242);
   DataInstance data = RandomGraph(&vocab, &rng, 60, 1200);
+  auto snapshot = DataSnapshot::FromInstance(data);
 
-  EvaluationStats seq_stats;
-  auto expected = Evaluator(program, data).Evaluate(&seq_stats);
+  const ExecuteResult seq = RunOn(program, snapshot, 1);
 
   EvaluatorLimits limits;
   limits.morsel_rows = 64;
-  EvaluationStats stats;
-  auto actual =
-      Evaluator(program, data, limits).EvaluateParallel(4, &stats);
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(stats.predicate_tuples, seq_stats.predicate_tuples);
+  const ExecuteResult parallel = RunOn(program, snapshot, 4, limits);
+  const EvaluationStats& stats = parallel.stats;
+  EXPECT_EQ(parallel.answers, seq.answers);
+  EXPECT_EQ(stats.predicate_tuples, seq.stats.predicate_tuples);
   EXPECT_EQ(stats.scheduler_tasks, 1);
   EXPECT_GE(stats.morsel_batches, 1);
   EXPECT_GE(stats.morsels, 2);
@@ -190,21 +196,19 @@ TEST(SchedulerMorselTest, IdleWorkerStealsFromDominatingRange) {
     }
   }
 
-  EvaluationStats seq_stats;
-  auto expected = Evaluator(program, data).Evaluate(&seq_stats);
+  auto snapshot = DataSnapshot::FromInstance(data);
+  const ExecuteResult seq = RunOn(program, snapshot, 1);
 
   long steals = 0;
   for (int round = 0; round < 8 && steals == 0; ++round) {
     EvaluatorLimits limits;
     limits.morsel_rows = 9992;  // One dominating morsel + an 8-row stub.
     limits.batch_rows = 32;     // Chunk size; steals need >= 2 chunks left.
-    EvaluationStats stats;
-    auto actual =
-        Evaluator(program, data, limits).EvaluateParallel(4, &stats);
-    ASSERT_EQ(actual, expected) << "round " << round;
-    ASSERT_EQ(stats.predicate_tuples, seq_stats.predicate_tuples)
+    const ExecuteResult parallel = RunOn(program, snapshot, 4, limits);
+    ASSERT_EQ(parallel.answers, seq.answers) << "round " << round;
+    ASSERT_EQ(parallel.stats.predicate_tuples, seq.stats.predicate_tuples)
         << "round " << round;
-    steals += stats.steals;
+    steals += parallel.stats.steals;
   }
   EXPECT_GT(steals, 0)
       << "no idle worker ever stole from the dominating driver range";

@@ -70,15 +70,15 @@ TEST_P(SequenceSweep, AllRewritersAgreeWithReference) {
     RewriteResult program_rw = RewriteOmqOrError(&ctx, query, kind, arbitrary);
     OWLQR_CHECK_MSG(program_rw.ok(), program_rw.status.message().c_str());
     NdlProgram program = std::move(program_rw.program);
-    Evaluator eval(program, data);
-    EXPECT_EQ(eval.Evaluate(), reference.answers)
+    Evaluator eval(program, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(eval.Run({}).answers, reference.answers)
         << RewriterName(kind) << " over raw data, word " << word;
 
     RewriteResult complete_program_rw = RewriteOmqOrError(&ctx, query, kind);
     OWLQR_CHECK_MSG(complete_program_rw.ok(), complete_program_rw.status.message().c_str());
     NdlProgram complete_program = std::move(complete_program_rw.program);
-    Evaluator eval2(complete_program, completed);
-    EXPECT_EQ(eval2.Evaluate(), reference.answers)
+    Evaluator eval2(complete_program, DataSnapshot::FromInstance(completed));
+    EXPECT_EQ(eval2.Run({}).answers, reference.answers)
         << RewriterName(kind) << " over completed data, word " << word;
   }
 }

@@ -362,6 +362,30 @@ TEST_F(ServiceTest, MalformedBodiesAreInvalidArgument) {
   }
 }
 
+// Numbers that do not fit the field they feed (beyond long, beyond int, or
+// fractional) are rejected as the client's error, never truncated: 1e30 as
+// a long is undefined behaviour, and 2^32 + 1 threads would read as 1.
+TEST_F(ServiceTest, OutOfRangeNumbersAreRejectedWith400) {
+  const std::string query = std::string("\"query\": \"") + kQuery + "\"";
+  const struct {
+    const char* field;
+    std::string body;
+  } kCases[] = {
+      {"deadline_ms", "{" + query + ", \"limits\": {\"deadline_ms\": 1e30}}"},
+      {"deadline_ms", "{" + query + ", \"limits\": {\"deadline_ms\": 2.5}}"},
+      {"num_threads", "{" + query + ", \"num_threads\": 4294967297}"},
+  };
+  for (const auto& c : kCases) {
+    api::Response response = Call(api::Verb::kExecute, "uni", c.body);
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument) << c.body;
+    EXPECT_EQ(api::HttpStatusFor(response.status.code()), 400) << c.body;
+    EXPECT_NE(response.status.message().find(c.field), std::string::npos)
+        << response.status.message();
+    EXPECT_EQ(MustParse(response.body).Find("error")->Find("http")->AsLong(),
+              400);
+  }
+}
+
 TEST_F(ServiceTest, UnknownRewriterNamesTheField) {
   api::Response response = Call(api::Verb::kExecute, "uni",
                                 "{\"query\": \"q(x) :- Professor(x)\", "

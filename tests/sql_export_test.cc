@@ -101,9 +101,9 @@ TEST_P(SqlExportRewriters, SqliteAgreesWithEvaluator) {
   data.Assert("S", "c", "d");
   data.Assert("R", "d", "e");
 
-  Evaluator eval(program, data);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
   std::set<std::vector<std::string>> expected;
-  for (const auto& tuple : eval.Evaluate()) {
+  for (const auto& tuple : eval.Run({}).answers) {
     std::vector<std::string> row;
     for (int ind : tuple) row.push_back(vocab.IndividualName(ind));
     expected.insert(row);

@@ -87,9 +87,9 @@ TEST(SkinnyTest, TransformIsSkinnyAndEquivalent) {
   EXPECT_TRUE(skinny.IsNonrecursive());
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     DataInstance data = RandomChainData(&vocab, seed);
-    Evaluator e1(program, data);
-    Evaluator e2(skinny, data);
-    EXPECT_EQ(e1.Evaluate(), e2.Evaluate()) << "seed " << seed;
+    Evaluator e1(program, DataSnapshot::FromInstance(data));
+    Evaluator e2(skinny, DataSnapshot::FromInstance(data));
+    EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers) << "seed " << seed;
   }
 }
 
@@ -169,8 +169,8 @@ TEST(SafetyTest, AddsAdomGuards) {
   DataInstance data(&vocab);
   data.Assert("A", "a");
   data.Assert("A", "b");
-  Evaluator eval(program, data);
-  EXPECT_EQ(eval.Evaluate().size(), 4u);  // 2 x active domain of size 2.
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(eval.Run({}).answers.size(), 4u);  // 2 x active domain of size 2.
 }
 
 TEST(InlineTest, SingleUsePredicatesDisappear) {
@@ -200,9 +200,9 @@ TEST(InlineTest, SingleUsePredicatesDisappear) {
   DataInstance data(&vocab);
   data.Assert("R", "a", "b");
   data.Assert("R", "b", "c");
-  Evaluator e1(original, data);
-  Evaluator e2(program, data);
-  EXPECT_EQ(e1.Evaluate(), e2.Evaluate());
+  Evaluator e1(original, DataSnapshot::FromInstance(data));
+  Evaluator e2(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers);
 }
 
 TEST(InlineTest, RespectsOccurrenceCap) {
@@ -256,9 +256,9 @@ TEST(InlineTest, RepeatedHeadVariablesUseEqualities) {
   DataInstance data(&vocab);
   data.Assert("R", "a", "a");
   data.Assert("R", "a", "b");
-  Evaluator e1(original, data);
-  Evaluator e2(program, data);
-  EXPECT_EQ(e1.Evaluate(), e2.Evaluate());
+  Evaluator e1(original, DataSnapshot::FromInstance(data));
+  Evaluator e2(program, DataSnapshot::FromInstance(data));
+  EXPECT_EQ(e1.Run({}).answers, e2.Run({}).answers);
 }
 
 }  // namespace
