@@ -4,9 +4,9 @@
 // (Section 1).  This bench reports, per rewriting, the machine-independent
 // parallel profile — dependence depth (parallel steps) and level widths
 // (available parallelism) — plus the wall-clock of the dependency-DAG
-// scheduler (barrier-free, with intra-clause morsel parallelism) at 1 and 4
-// threads.  SlowestTaskMs is the critical-path floor a perfectly parallel
-// inter-predicate schedule cannot beat — morsels exist to dig below it.
+// scheduler (barrier-free, one task per IDB predicate) at 1 and 4 threads.
+// SlowestTaskMs is the critical-path floor a perfectly parallel
+// inter-predicate schedule cannot beat.
 
 #include <benchmark/benchmark.h>
 
@@ -65,11 +65,8 @@ void BM_Parallelism(benchmark::State& state) {
   state.counters["IndexBuilds"] = static_cast<double>(stats.index_builds);
   state.counters["SchedulerTasks"] =
       static_cast<double>(stats.scheduler_tasks);
-  state.counters["MorselBatches"] = static_cast<double>(stats.morsel_batches);
-  state.counters["Morsels"] = static_cast<double>(stats.morsels);
   state.counters["SlowestTaskMs"] = stats.slowest_task_ms;
   state.counters["JoinEmissions"] = static_cast<double>(stats.join_emissions);
-  state.counters["StealCount"] = static_cast<double>(stats.steals);
   state.counters["BatchRows"] = static_cast<double>(stats.batch_rows);
   state.counters["BatchProbes"] = static_cast<double>(stats.batch_probes);
   state.SetLabel(std::string(RewriterName(kind)) + " " + word + " t" +
@@ -115,7 +112,6 @@ void BM_BatchAB(benchmark::State& state) {
   state.counters["GeneratedTuples"] =
       static_cast<double>(stats.generated_tuples);
   state.counters["JoinEmissions"] = static_cast<double>(stats.join_emissions);
-  state.counters["StealCount"] = static_cast<double>(stats.steals);
   state.counters["BatchRows"] = static_cast<double>(stats.batch_rows);
   state.counters["BatchProbes"] = static_cast<double>(stats.batch_probes);
   state.SetLabel("Tw " + word + " t" + std::to_string(threads) +

@@ -16,8 +16,8 @@ namespace {
 // corrupt deduplication.  Insert saturates at the ceiling (refuse + mark
 // AtRowCeiling) instead of aborting the process: the serving engine must
 // survive a query that tries, and the evaluator turns the flag into a
-// cooperative abort at its next limit flush — on the sequential path AND
-// the morsel-shard merge, which writes through the same Insert.
+// cooperative abort at its next limit flush, on the sequential path and
+// under the DAG scheduler alike.
 constexpr size_t kMaxRowsPerRelation = 0xFFFFFFFEull;
 // Crossing half the ceiling bumps evaluator/rows_near_overflow so capacity
 // headroom shows up in traces long before saturation.

@@ -58,7 +58,7 @@ namespace owlqr {
 // the run is pinned to, and the limit knobs that can change what a complete
 // run answers or how long a coalesced follower may be held
 // (max_generated_tuples, max_work, deadline_ms).  num_threads and
-// morsel_rows are deliberately excluded: answers do not depend on them, so
+// batch_rows are deliberately excluded: answers do not depend on them, so
 // requests differing only there share entries and leaders.
 std::string AnswerCacheKey(const std::string& plan_key,
                            uint64_t snapshot_version,

@@ -37,8 +37,8 @@ namespace owlqr {
 
 struct GovernorOptions {
   // Engine-wide memory budget in bytes for execution-owned allocations
-  // (IDB arenas, dedup tables, locally built probe indexes, morsel
-  // shards).  0 = track usage but never reject.
+  // (IDB arenas, dedup tables, locally built probe indexes, join
+  // scratch).  0 = track usage but never reject.
   size_t max_memory_bytes = 0;
   // Per-execution cap within the shared budget (0 = no per-execution cap).
   size_t max_execution_memory_bytes = 0;

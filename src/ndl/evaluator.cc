@@ -11,8 +11,8 @@ namespace owlqr {
 
 namespace {
 
-// How often (in join emissions, index-build rows, or merged shard rows)
-// the wall-clock deadline is polled.  The scan loops test
+// How often (in join emissions or index-build rows) the wall-clock
+// deadline is polled.  The scan loops test
 // `count & (interval - 1)` (hence power of two); the join emission path
 // uses it as the ceiling of JoinContext::flush_countdown.
 constexpr long kDeadlineCheckInterval = kRelationAbortInterval;
@@ -428,8 +428,6 @@ Evaluator::ClausePlan Evaluator::CompilePlan(const NdlClause& clause,
     OWLQR_CHECK_MSG(t.is_constant || bound[t.value], "unsafe clause head");
     plan.head_code.push_back(code_of(t));
   }
-  plan.splittable = !plan.steps.empty() && plan.steps[0].rows != nullptr &&
-                    plan.steps[0].mask == 0;
   if (limits_.batch_rows > 0) CompileBatchPlan(&plan);
   return plan;
 }
@@ -630,10 +628,8 @@ void Evaluator::RunJoin(const ClausePlan& plan, JoinContext* ctx,
     // A scan-driven clause usually emits on the order of its driver range;
     // hint the dedup table so it skips the doubling cascade (Reserve bounds
     // the hint, so selective clauses cannot over-allocate).
-    size_t end = std::min(plan.steps[0].rows->size(), ctx->driver_end);
-    if (end > ctx->driver_begin) {
-      out->Reserve(out->size() + (end - ctx->driver_begin));
-    }
+    const size_t driver_rows = plan.steps[0].rows->size();
+    if (driver_rows > 0) out->Reserve(out->size() + driver_rows);
   }
   if (plan.batch_compiled) {
     // Vector-at-a-time path: expansion is row-major and in driver order, so
@@ -652,8 +648,8 @@ void Evaluator::RunJoin(const ClausePlan& plan, JoinContext* ctx,
     ctx->head_tuple.resize(plan.clause->head.args.size());
     Join(plan, 0, ctx, out);
   }
-  // Settle the residual tallies so the evaluator-wide counters (and the
-  // fan-out owner's shard accounting) see every emission of this run.
+  // Settle the residual tallies so the evaluator-wide counters see every
+  // emission of this run.
   if (ctx->unflushed_emissions != 0 || ctx->unflushed_new != 0) {
     FlushLimits(ctx);
   }
@@ -663,11 +659,6 @@ void Evaluator::RunJoin(const ClausePlan& plan, JoinContext* ctx,
 }
 
 bool Evaluator::EnsureBatchScratch(const ClausePlan& plan, JoinContext* ctx) {
-  // Morsel workers re-enter with the same (stable) plan object, so pointer
-  // identity short-circuits the chunk loop.  Callers that run a context
-  // across *different* plans (one per clause) clear scratch_plan between
-  // runs — plan objects there are stack locals whose addresses can repeat.
-  if (ctx->scratch_plan == &plan) return true;
   const size_t cap = static_cast<size_t>(
       std::min<long>(std::max<long>(limits_.batch_rows, 1), 65536));
   const size_t k = plan.steps.size();
@@ -728,7 +719,6 @@ bool Evaluator::EnsureBatchScratch(const ClausePlan& plan, JoinContext* ctx) {
   bytes += ctx->head_stage.capacity() * sizeof(int) +
            ctx->head_hashes.capacity() * sizeof(size_t) +
            ctx->new_idx.capacity() * sizeof(uint32_t);
-  ctx->scratch_plan = &plan;
   // Charge the scratch like any other execution-owned allocation; the
   // context's destructor gives the bytes back.  Even a failed charge stays
   // recorded (the memory is allocated either way; see util/budget.h).
@@ -882,14 +872,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
     }
     case BatchOp::kScan: {
       const Rows& rows = *step.rows;
-      size_t begin = 0;
-      size_t end = rows.size();
-      if (next == 0) {
-        // The driver scan honours the context's row range (the whole
-        // relation by default, one morsel/chunk under a fan-out).
-        begin = ctx->driver_begin;
-        end = std::min(end, ctx->driver_end);
-      }
+      const size_t end = rows.size();
       if (bs.checks.empty() && bs.verbatim && &rows != out) {
         // Zero-copy scan: the output batch is the candidate tuple verbatim,
         // so each chunk of consecutive arena rows becomes the next level's
@@ -899,7 +882,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
         // unchanged; the &rows != out guard keeps the aliased rows stable
         // while `out` grows (impossible for stratified programs, but cheap).
         for (size_t i = 0; i < n; ++i) {
-          for (size_t r = begin; r < end;) {
+          for (size_t r = 0; r < end;) {
             const size_t take = std::min(end - r, cap);
             ctx->batch_scanned += static_cast<long>(take);
             if (AbortRequested()) return false;
@@ -913,7 +896,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
             if (!ok) return false;
             r += take;
           }
-          ctx->batch_cand_tally += static_cast<long>(end - begin);
+          ctx->batch_cand_tally += static_cast<long>(end);
         }
         return true;
       }
@@ -923,7 +906,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
         // instead of per candidate — deadline cadence only, which is
         // nondeterministic anyway; emission order is unchanged).
         for (size_t i = 0; i < n; ++i) {
-          size_t r = begin;
+          size_t r = 0;
           while (r < end) {
             const size_t take = std::min(end - r, cap - m);
             for (size_t t = 0; t < take; ++t) {
@@ -936,12 +919,12 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
             r += take;
             if (m == cap && !flush()) return false;
           }
-          ctx->batch_cand_tally += static_cast<long>(end - begin);
+          ctx->batch_cand_tally += static_cast<long>(end);
         }
         return m == 0 || flush();
       }
       for (size_t i = 0; i < n; ++i) {
-        for (size_t r = begin; r < end; ++r) {
+        for (size_t r = 0; r < end; ++r) {
           if (abort_poll()) return false;
           const int* tuple = rows.row(r);
           bool ok = true;
@@ -960,7 +943,7 @@ bool Evaluator::JoinBatch(const ClausePlan& plan, size_t next,
           cand[m] = static_cast<uint32_t>(r);
           if (++m == cap && !flush()) return false;
         }
-        ctx->batch_cand_tally += static_cast<long>(end - begin);
+        ctx->batch_cand_tally += static_cast<long>(end);
       }
       return m == 0 || flush();
     }
@@ -1125,9 +1108,6 @@ void Evaluator::EvaluateClause(int ci, JoinContext* ctx, Rows* out) {
   if (aborted_.load(std::memory_order_relaxed)) return;
   const NdlClause& clause = program_.clause(ci);
   ClausePlan plan = BuildPlan(ci);
-  // `plan` is a fresh stack object each call (its address can repeat), so
-  // the scratch's plan-identity cache must not carry over.
-  ctx->scratch_plan = nullptr;
   if (MetricsRegistry* metrics = MetricsRegistry::Global()) {
     ScopedSpan span(metrics, "evaluate/join");
     const long emitted0 = ctx->emissions;
@@ -1297,15 +1277,7 @@ bool Evaluator::Join(const ClausePlan& plan, size_t next, JoinContext* ctx,
   };
 
   if (step.mask == 0) {
-    size_t begin = 0;
-    size_t end = rows.size();
-    if (next == 0) {
-      // The driver scan honours the context's row range (the whole relation
-      // by default, one morsel under a fan-out).
-      begin = ctx->driver_begin;
-      end = std::min(end, ctx->driver_end);
-    }
-    for (size_t r = begin; r < end; ++r) {
+    for (size_t r = 0; r < rows.size(); ++r) {
       // One relaxed load per driver row keeps abort latency low even when a
       // long stretch of rows emits nothing (and so never reaches a flush).
       if (next == 0 && aborted_.load(std::memory_order_relaxed)) return false;
@@ -1352,222 +1324,9 @@ bool Evaluator::Join(const ClausePlan& plan, size_t next, JoinContext* ctx,
   return true;
 }
 
-// --- Dependency-DAG scheduler + intra-clause morsel parallelism ----------
+// --- Dependency-DAG scheduler ---------------------------------------------
 
-namespace {
-
-inline uint64_t PackRange(size_t begin, size_t end) {
-  // Driver row ids fit 32 bits (the Rows arena caps at 2^32 - 2 rows).
-  return (static_cast<uint64_t>(begin) << 32) | static_cast<uint64_t>(end);
-}
-
-}  // namespace
-
-bool Evaluator::StealRange(MorselBatch* batch, size_t* begin, size_t* end) {
-  const int n = static_cast<int>(batch->shards.size());
-  while (!aborted_.load(std::memory_order_relaxed)) {
-    // Pick the worker with the most driver rows left; a range is worth
-    // splitting only when both halves keep at least one chunk.
-    int victim = -1;
-    uint64_t victim_range = 0;
-    size_t best_left = 2 * batch->chunk_rows;
-    for (int w = 0; w < n; ++w) {
-      const uint64_t cur = batch->active[w].load(std::memory_order_acquire);
-      const size_t b = cur >> 32;
-      const size_t e = cur & 0xffffffffu;
-      if (e > b && e - b >= best_left) {
-        victim = w;
-        victim_range = cur;
-        best_left = e - b;
-      }
-    }
-    if (victim < 0) return false;
-    const size_t b = victim_range >> 32;
-    const size_t e = victim_range & 0xffffffffu;
-    const size_t mid = b + (e - b) / 2;
-    if (batch->active[victim].compare_exchange_strong(
-            victim_range, PackRange(b, mid), std::memory_order_acq_rel)) {
-      *begin = mid;
-      *end = e;
-      batch->steals.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    // Lost the race (the victim advanced a chunk or another thief split
-    // first); rescan — remaining ranges only ever shrink, so this loop
-    // terminates.
-  }
-  return false;
-}
-
-void Evaluator::RunMorsels(MorselBatch* batch, int worker_id) {
-  JoinContext ctx;
-  Rows* shard = &batch->shards[worker_id];
-  std::atomic<uint64_t>& mine = batch->active[worker_id];
-  while (true) {
-    size_t begin = batch->cursor.fetch_add(batch->rows_per_morsel,
-                                           std::memory_order_relaxed);
-    size_t end;
-    if (begin < batch->driver_rows) {
-      end = std::min(begin + batch->rows_per_morsel, batch->driver_rows);
-    } else if (!StealRange(batch, &begin, &end)) {
-      break;
-    }
-    morsels_.fetch_add(1, std::memory_order_relaxed);
-    // Publish the owned range, then consume it chunk by chunk, advancing
-    // `mine` by CAS — the same word thieves halve, so a chunk is joined by
-    // exactly one worker.
-    mine.store(PackRange(begin, end), std::memory_order_release);
-    size_t processed = 0;
-    while (true) {
-      uint64_t cur = mine.load(std::memory_order_acquire);
-      const size_t b = cur >> 32;
-      const size_t e = cur & 0xffffffffu;
-      if (b >= e) break;
-      const size_t chunk_end = std::min(b + batch->chunk_rows, e);
-      if (!mine.compare_exchange_weak(cur, PackRange(chunk_end, e),
-                                      std::memory_order_acq_rel)) {
-        continue;  // A thief halved the range; re-read.
-      }
-      ctx.driver_begin = b;
-      ctx.driver_end = chunk_end;
-      RunJoin(*batch->plan, &ctx, shard);
-      processed += chunk_end - b;
-    }
-    mine.store(0, std::memory_order_release);
-    // Settle the tallies into this worker's slot (single writer per slot)
-    // BEFORE the rows_done release below: the owner sums the slots as soon
-    // as the final release lands, so a write after it would race with that
-    // read.
-    batch->emissions[worker_id] += ctx.emissions;
-    batch->new_tuples[worker_id] += ctx.new_tuples;
-    ctx.emissions = 0;
-    ctx.new_tuples = 0;
-    const size_t done =
-        batch->rows_done.fetch_add(processed, std::memory_order_acq_rel) +
-        processed;
-    if (done == batch->driver_rows) {
-      // Lock/unlock pairs with the owner's predicate check so the final
-      // notification cannot slip between its check and its wait.
-      std::lock_guard<std::mutex> lock(batch->mu);
-      batch->cv.notify_all();
-    }
-  }
-}
-
-long Evaluator::MergeShards(MorselBatch* batch, Rows* out) {
-  long inserted = 0;
-  long scanned = 0;
-  size_t shard_rows = 0;
-  for (const Rows& shard : batch->shards) shard_rows += shard.size();
-  // Baseline before the Reserve: `out` was fully charged by the clause runs
-  // that grew it, so this merge charges only its own delta.
-  size_t charged = out->MemoryBytes();
-  out->Reserve(out->size() + shard_rows);
-  for (const Rows& shard : batch->shards) {
-    for (size_t r = 0; r < shard.size(); ++r) {
-      if (out->Insert(shard.row(r))) ++inserted;
-      // A huge merge must honour the deadline / cancel / memory budget like
-      // every other loop, and a merge that drives `out` into the 32-bit row
-      // ceiling must stop instead of silently dropping rows (ChargeRowsDelta
-      // folds the ceiling flag into the abort).  An aborted merge leaves the
-      // relation partial, which is fine because aborted_ stops every
-      // consumer before it trusts the results.
-      if ((++scanned & (kDeadlineCheckInterval - 1)) == 0 &&
-          (!ChargeRowsDelta(*out, &charged) || AbortRequested())) {
-        return inserted;
-      }
-    }
-  }
-  ChargeRowsDelta(*out, &charged);
-  return inserted;
-}
-
-void Evaluator::RunClauseFanOut(Scheduler* sched, const ClausePlan& plan,
-                                int worker_id, int num_workers, Rows* out) {
-  MorselBatch batch;
-  batch.plan = &plan;
-  batch.driver_rows = plan.steps[0].rows->size();
-  batch.rows_per_morsel = static_cast<size_t>(limits_.morsel_rows);
-  // Chunk granularity: one column batch on the batch path (a steal never
-  // splits a batch mid-flight), an eighth of a morsel on the scalar path —
-  // small enough that a straggler's remaining work is visible to thieves,
-  // large enough that the CAS traffic stays negligible.
-  batch.chunk_rows =
-      limits_.batch_rows > 0
-          ? std::min(batch.rows_per_morsel,
-                     static_cast<size_t>(std::max<long>(limits_.batch_rows,
-                                                        64)))
-          : std::max<size_t>(batch.rows_per_morsel / 8, 64);
-  batch.active = std::make_unique<std::atomic<uint64_t>[]>(num_workers);
-  for (int w = 0; w < num_workers; ++w) {
-    batch.active[w].store(0, std::memory_order_relaxed);
-  }
-  batch.shards.resize(num_workers);
-  for (Rows& shard : batch.shards) shard.arity = out->arity;
-  batch.emissions.assign(num_workers, 0);
-  batch.new_tuples.assign(num_workers, 0);
-
-  OWLQR_NAMED_SPAN(span, "evaluate/join");
-  {
-    std::lock_guard<std::mutex> lock(sched->mu);
-    sched->batches.push_back(&batch);
-  }
-  sched->cv.notify_all();
-  // The owner claims morsels alongside the helpers until the cursor is
-  // exhausted ...
-  RunMorsels(&batch, worker_id);
-  {
-    std::lock_guard<std::mutex> lock(sched->mu);
-    auto it = std::find(sched->batches.begin(), sched->batches.end(), &batch);
-    if (it != sched->batches.end()) sched->batches.erase(it);
-  }
-  // ... then waits for helpers still inside the batch — both those joining
-  // their last range (rows_done) and those that entered only to find
-  // nothing left to claim or steal (helpers).  The batch (and the plan it
-  // points into) stays alive on this frame until no other worker can touch
-  // it.
-  {
-    std::unique_lock<std::mutex> lock(batch.mu);
-    batch.cv.wait(lock, [&batch] {
-      return batch.rows_done.load(std::memory_order_acquire) ==
-                 batch.driver_rows &&
-             batch.helpers.load(std::memory_order_relaxed) == 0;
-    });
-  }
-  // Single merge writer: only the owner touches the canonical Rows, so the
-  // single-writer-per-relation invariant survives the fan-out.
-  long inserted = MergeShards(&batch, out);
-  // The shards die with this frame; give their bytes back.  Each shard was
-  // fully charged by the RunJoin settles inside RunMorsels (charges are
-  // recorded even past the limit), so the release is exact.
-  if (account_ != nullptr) {
-    size_t shard_bytes = 0;
-    for (const Rows& shard : batch.shards) shard_bytes += shard.MemoryBytes();
-    account_->Release(shard_bytes);
-  }
-  morsel_batches_.fetch_add(1, std::memory_order_relaxed);
-  long emissions = 0;
-  long shard_new = 0;
-  for (long e : batch.emissions) emissions += e;
-  for (long n : batch.new_tuples) shard_new += n;
-  // Tuples new within a shard but duplicated across shards were counted by
-  // Emit; settle idb_tuples_ to the canonical (merged) count.
-  if (shard_new > inserted) {
-    idb_tuples_.fetch_sub(shard_new - inserted, std::memory_order_relaxed);
-  }
-  const long steals = batch.steals.load(std::memory_order_relaxed);
-  if (steals != 0) steals_.fetch_add(steals, std::memory_order_relaxed);
-  span.Attr("head", plan.clause->head.predicate);
-  span.Attr("emissions", emissions);
-  span.Attr("new_tuples", inserted);
-  span.Attr("steals", steals);
-  OWLQR_COUNT("evaluator/join_emissions", emissions);
-  OWLQR_COUNT("evaluator/new_tuples", inserted);
-  OWLQR_RECORD("evaluator/clause_emissions", static_cast<double>(emissions));
-}
-
-void Evaluator::RunPredicateTask(Scheduler* sched, int predicate,
-                                 int worker_id, int num_workers) {
+void Evaluator::RunPredicateTask(Scheduler* sched, int predicate) {
   const bool metrics = OWLQR_METRICS_ENABLED();
   const auto task_start = std::chrono::steady_clock::now();
   Rows& out = preds_[predicate]->rows;
@@ -1575,42 +1334,7 @@ void Evaluator::RunPredicateTask(Scheduler* sched, int predicate,
   // capacity across plans, so only the first clause pays the allocations.
   JoinContext ctx;
   for (int ci : program_.ClausesFor(predicate)) {
-    if (aborted_.load(std::memory_order_relaxed)) break;
-    const NdlClause& clause = program_.clause(ci);
-    ClausePlan plan = BuildPlan(ci);
-    bool fan_out = false;
-    if (limits_.morsel_rows > 0 && plan.splittable &&
-        plan.steps[0].rows->size() >
-            static_cast<size_t>(limits_.morsel_rows)) {
-      // Split only when the ready queue would leave workers idle: either
-      // some already block on the queue, or there are fewer ready tasks
-      // than the other workers could drain.
-      std::lock_guard<std::mutex> lock(sched->mu);
-      fan_out = sched->idle > 0 ||
-                sched->ready.size() + 1 < static_cast<size_t>(num_workers);
-    }
-    // `plan` is a fresh stack object each iteration (its address can
-    // repeat), so the scratch's plan-identity cache must not carry over.
-    ctx.scratch_plan = nullptr;
-    if (fan_out) {
-      RunClauseFanOut(sched, plan, worker_id, num_workers, &out);
-    } else if (MetricsRegistry* registry = MetricsRegistry::Global()) {
-      ScopedSpan span(registry, "evaluate/join");
-      const long emitted0 = ctx.emissions;
-      const long new0 = ctx.new_tuples;
-      RunJoin(plan, &ctx, &out);
-      const long emitted = ctx.emissions - emitted0;
-      const long fresh = ctx.new_tuples - new0;
-      span.Attr("head", clause.head.predicate);
-      span.Attr("emissions", emitted);
-      span.Attr("new_tuples", fresh);
-      registry->Count("evaluator/join_emissions", emitted);
-      registry->Count("evaluator/new_tuples", fresh);
-      registry->Record("evaluator/clause_emissions",
-                       static_cast<double>(emitted));
-    } else {
-      RunJoin(plan, &ctx, &out);
-    }
+    EvaluateClause(ci, &ctx, &out);
   }
   out.materialized = true;
   scheduler_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -1647,67 +1371,17 @@ void Evaluator::RunPredicateTask(Scheduler* sched, int predicate,
   }
 }
 
-void Evaluator::SchedulerWorker(Scheduler* sched, int worker_id,
-                                int num_workers) {
+void Evaluator::SchedulerWorker(Scheduler* sched) {
   std::unique_lock<std::mutex> lock(sched->mu);
   while (true) {
-    if (!sched->ready.empty()) {
-      int predicate = sched->ready.front();
-      sched->ready.pop_front();
-      lock.unlock();
-      RunPredicateTask(sched, predicate, worker_id, num_workers);
-      lock.lock();
-      continue;
-    }
-    MorselBatch* batch = nullptr;
-    while (!sched->batches.empty()) {
-      MorselBatch* candidate = sched->batches.back();
-      if (candidate->cursor.load(std::memory_order_relaxed) >=
-          candidate->driver_rows) {
-        // Cursor exhausted: the batch is still worth joining while some
-        // worker's published range is large enough to steal from.  Once it
-        // is not, it never will be again (ranges only shrink), so dropping
-        // the batch here cannot strand work (the owner also erases on
-        // completion).
-        bool stealable = false;
-        const int nw = static_cast<int>(candidate->shards.size());
-        for (int w = 0; w < nw; ++w) {
-          const uint64_t cur =
-              candidate->active[w].load(std::memory_order_relaxed);
-          const size_t b = cur >> 32;
-          const size_t e = cur & 0xffffffffu;
-          if (e > b && e - b >= 2 * candidate->chunk_rows) {
-            stealable = true;
-            break;
-          }
-        }
-        if (!stealable) {
-          sched->batches.pop_back();
-          continue;
-        }
-      }
-      batch = candidate;
-      break;
-    }
-    if (batch != nullptr) {
-      // Registered under sched->mu, before the batch pointer escapes this
-      // critical section: the owner's completion wait includes `helpers`,
-      // so the batch outlives even a helper that claims no morsel.
-      batch->helpers.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      RunMorsels(batch, worker_id);
-      {
-        std::lock_guard<std::mutex> batch_lock(batch->mu);
-        batch->helpers.fetch_sub(1, std::memory_order_relaxed);
-        batch->cv.notify_all();
-      }
-      lock.lock();
-      continue;
-    }
-    if (sched->done) return;
-    ++sched->idle;
-    sched->cv.wait(lock);
-    --sched->idle;
+    sched->cv.wait(lock,
+                   [sched] { return !sched->ready.empty() || sched->done; });
+    if (sched->ready.empty()) return;  // Done: every task has finished.
+    int predicate = sched->ready.front();
+    sched->ready.pop_front();
+    lock.unlock();
+    RunPredicateTask(sched, predicate);
+    lock.lock();
   }
 }
 
@@ -1738,15 +1412,12 @@ void Evaluator::FinishResult(ExecuteResult* result) const {
   }
   stats->goal_tuples = static_cast<long>(result->answers.size());
   stats->scheduler_tasks = scheduler_tasks_.load();
-  stats->morsel_batches = morsel_batches_.load();
-  stats->morsels = morsels_.load();
   stats->slowest_task_ms = slowest_task_ms_;
   // Every driver row is joined exactly once regardless of worker count or
   // batching, so join_emissions is deterministic like generated_tuples.
   stats->join_emissions = work_.load();
   stats->batch_rows = batch_rows_.load();
   stats->batch_probes = batch_probes_.load();
-  stats->steals = steals_.load();
 
   result->snapshot_version = snapshot_->version();
   // Any abort leaves the answers a sound-but-possibly-incomplete subset.
@@ -1907,8 +1578,6 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
         if (aborted_.load(std::memory_order_relaxed)) break;
         if (delta_rows[clause.body[ai].predicate].size() == 0) continue;
         ClausePlan plan = BuildDeltaPlan(ci, static_cast<int>(ai), delta_rows);
-        // Plans are per-iteration stack objects; see RunPredicateTask.
-        ctx.scratch_plan = nullptr;
         if (MetricsRegistry* metrics = MetricsRegistry::Global()) {
           ScopedSpan join_span(metrics, "evaluate/join");
           const long emitted0 = ctx.emissions;
@@ -2046,10 +1715,7 @@ void Evaluator::RunParallel(const ExecuteRequest& request,
     std::vector<std::thread> threads;
     threads.reserve(num_workers);
     for (int t = 0; t < num_workers; ++t) {
-      threads.emplace_back(
-          [this, &sched, t, num_workers] {
-            SchedulerWorker(&sched, t, num_workers);
-          });
+      threads.emplace_back([this, &sched] { SchedulerWorker(&sched); });
     }
     for (std::thread& t : threads) t.join();
   }
@@ -2059,9 +1725,6 @@ void Evaluator::RunParallel(const ExecuteRequest& request,
   span.Attr("generated_tuples", idb_tuples_.load(std::memory_order_relaxed));
   span.Attr("aborted", aborted_.load() ? 1 : 0);
   span.Attr("tasks", scheduler_tasks_.load(std::memory_order_relaxed));
-  span.Attr("morsel_batches",
-            morsel_batches_.load(std::memory_order_relaxed));
-  span.Attr("morsels", morsels_.load(std::memory_order_relaxed));
 }
 
 }  // namespace owlqr

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -50,13 +49,10 @@ struct EvaluationStats {
   // Per-predicate materialised tuple counts, indexed by predicate id
   // (zero for EDB and unevaluated predicates).
   std::vector<long> predicate_tuples;
-  // Parallel (DAG scheduler) path only: predicate tasks run by workers,
-  // intra-clause morsel fan-outs, morsels executed, and the wall time of
-  // the slowest single predicate task (the critical-path floor a perfectly
-  // parallel schedule cannot beat).
+  // Parallel (DAG scheduler) path only: predicate tasks run by workers and
+  // the wall time of the slowest single predicate task (the critical-path
+  // floor a perfectly parallel schedule cannot beat).
   long scheduler_tasks = 0;
-  long morsel_batches = 0;
-  long morsels = 0;
   double slowest_task_ms = 0;
   // Join emissions (head-tuple productions, duplicates included) across the
   // run — the quantity EvaluatorLimits::max_work bounds.  Identical on the
@@ -64,10 +60,14 @@ struct EvaluationStats {
   long join_emissions = 0;
   // Vector-at-a-time executor tallies (zero when EvaluatorLimits::batch_rows
   // disabled the batch path): elements materialised into column batches
-  // across all join stages, bulk hash-index probes issued, and driver
-  // sub-ranges idle workers stole from in-flight morsel ranges.
+  // across all join stages, and bulk hash-index probes issued.
   long batch_rows = 0;
   long batch_probes = 0;
+  // Always 0.  The evaluator once split large clauses into intra-clause
+  // morsels with work stealing; that mechanism is gone (the DAG scheduler
+  // is the only parallel path), but readers of these two fields, such as
+  // the end-to-end benchmark's traced `paper` run, still report them.
+  long morsel_batches = 0;
   long steals = 0;
 };
 
@@ -82,11 +82,6 @@ struct EvaluatorLimits {
   // (<= 0, or too far out to represent on the clock: unlimited).  The
   // faithful stand-in for the paper's 999 s evaluation timeout.
   long deadline_ms = 0;
-  // Intra-clause (morsel) parallelism threshold for parallel runs: when
-  // the scheduler would otherwise leave workers idle and a clause's driver
-  // atom scans more than this many rows, the scan is split into morsels of
-  // this size and fanned out across workers (<= 0 disables splitting).
-  long morsel_rows = 2048;
   // Column-batch width of the vector-at-a-time join executor: up to this
   // many elements flow between join steps per batch (capped at 65536).
   // <= 0 disables batching and runs the scalar tuple-at-a-time path — the
@@ -239,15 +234,13 @@ struct RetainedIdbState {
 // predicate the goal depends on becomes a task with an atomic
 // remaining-dependency counter, workers pull ready tasks from a shared
 // queue, and a predicate is enqueued the moment its last dependency
-// finishes.  When ready tasks would leave workers idle, a clause whose
-// driver atom scans more than EvaluatorLimits::morsel_rows rows is split
-// into morsels evaluated concurrently into per-worker Rows shards and then
-// merged (see DESIGN.md section 7).  The safety invariant is single writer
-// per relation: every EDB relation (including table EDBs) and the active
-// domain are frozen in the snapshot before workers start, each shard is
-// written by exactly one worker, the task owner alone merges shards into
-// the predicate's canonical Rows, and all other reads are of frozen
-// dependency relations or of indexes built under a once-flag.
+// finishes (see DESIGN.md section 7).  Parallelism is across predicates
+// only; each clause is joined by the one worker that runs its predicate's
+// task.  The safety invariant is single writer per relation: every EDB
+// relation (including table EDBs) and the active domain are frozen in the
+// snapshot before workers start, a predicate's Rows is written only by its
+// task, and all other reads are of frozen dependency relations or of
+// indexes built under a once-flag.
 class Evaluator {
  public:
   Evaluator(const NdlProgram& program,
@@ -264,7 +257,7 @@ class Evaluator {
 
   // Installs the per-execution memory account (not owned; must outlive the
   // evaluator).  Arena growth — IDB relations, dedup tables, locally built
-  // probe indexes, morsel shards — is charged to it at the limit-flush
+  // probe indexes, join scratch — is charged to it at the limit-flush
   // cadence; a failed charge aborts the evaluation with memory_exceeded.
   // Must be called before evaluation starts.
   void set_memory_account(MemoryAccount* account) { account_ = account; }
@@ -315,8 +308,7 @@ class Evaluator {
 
   // Per-atom join plan: the static bound-position mask, the resolved
   // relation, and the argument positions to bind or to check against the
-  // current binding.  Immutable once built, so a plan can be shared
-  // read-only across morsel workers; all run-time state lives in
+  // current binding.  Immutable once built; all run-time state lives in
   // JoinContext.
   //
   // Terms the inner loop reads are pre-compiled into codes so the per-row
@@ -392,8 +384,7 @@ class Evaluator {
   };
 
   // Built once per clause evaluation (after the clause's dependencies are
-  // materialised, so the greedy atom order sees real relation sizes) and
-  // shared read-only by every worker joining the same fan-out.
+  // materialised, so the greedy atom order sees real relation sizes).
   struct ClausePlan {
     const NdlClause* clause = nullptr;
     std::vector<AtomStep> steps;
@@ -402,9 +393,6 @@ class Evaluator {
     // AtomStep).  Clause safety (every head variable bound by the body) is
     // checked once when this is built, not per emission.
     std::vector<int> head_code;
-    // True when step 0 is a full scan of a regular relation, i.e. its row
-    // range is splittable into morsels.
-    bool splittable = false;
     // Batch-path recipes, one per step, compiled alongside the scalar codes
     // when EvaluatorLimits::batch_rows > 0 (batch.size() == steps.size()).
     std::vector<BatchStep> batch;
@@ -418,8 +406,9 @@ class Evaluator {
     bool batch_compiled = false;
   };
 
-  // Mutable state of one join execution; one per worker per fan-out, so the
-  // shared ClausePlan stays read-only.
+  // Mutable state of one join execution: one per sequential run, per
+  // scheduler task, or per delta propagation, reused across the clauses it
+  // joins.
   struct JoinContext {
     std::vector<int> binding;
     std::vector<int> head_tuple;           // Reused emission buffer.
@@ -436,10 +425,6 @@ class Evaluator {
     // recorded here (the head predicate's delta, which drives downstream
     // clauses).  Null outside RunDelta.
     Rows* delta_out = nullptr;
-    // Row range of the driver (step 0) scan; the full relation by default,
-    // one morsel when fanned out.
-    size_t driver_begin = 0;
-    size_t driver_end = std::numeric_limits<size_t>::max();
     // Plain tallies (flushed to the metrics registry, if one is installed,
     // after the clause finishes; kept local so the join inner loop never
     // takes the registry lock).
@@ -481,7 +466,6 @@ class Evaluator {
     std::vector<int> head_stage;  // Row-major staged head tuples.
     std::vector<size_t> head_hashes;  // Their HashTupleBatch values.
     std::vector<uint32_t> new_idx;    // InsertBatch's new-tuple indices.
-    const ClausePlan* scratch_plan = nullptr;  // Plan the scratch is sized for.
     size_t batch_cap = 0;
     // Scratch bytes charged to the memory account (released on context
     // destruction — all contexts die before the evaluator quiesces).
@@ -504,48 +488,15 @@ class Evaluator {
     }
   };
 
-  // One intra-clause fan-out: workers claim morsels (driver row ranges) off
-  // the atomic cursor, publish the range they own in `active[worker]`, and
-  // join it chunk by chunk into their own Rows shard; the owner waits for
-  // `rows_done` to reach `driver_rows` AND `helpers` to drop to zero, then
-  // merges the shards.  When the cursor is exhausted but some worker still
-  // owns a large range (the straggler), idle helpers steal the upper half
-  // of the largest published range instead of leaving (StealRange).  The
-  // helper count covers the stragglers `rows_done` cannot: a worker that
-  // entered the batch but found no work still reads the batch fields, so
-  // the owner must not destroy the (stack-allocated) batch under it.
-  struct MorselBatch {
-    const ClausePlan* plan = nullptr;
-    size_t driver_rows = 0;
-    size_t rows_per_morsel = 0;  // Cursor-claim granularity.
-    size_t chunk_rows = 0;       // Within-range processing granularity.
-    std::atomic<size_t> cursor{0};     // Next unclaimed driver row.
-    std::atomic<size_t> rows_done{0};  // Driver rows fully joined.
-    std::atomic<int> helpers{0};       // Workers currently inside the batch.
-    std::atomic<long> steals{0};       // Successful StealRange grabs.
-    // Per worker id: the driver range the worker currently owns, packed
-    // begin << 32 | end (0 = none).  The owner CASes begin forward to
-    // consume a chunk; a thief CASes end down to take the upper half.
-    std::unique_ptr<std::atomic<uint64_t>[]> active;
-    std::vector<Rows> shards;          // One per worker id (single writer).
-    std::vector<long> emissions;       // Per worker id.
-    std::vector<long> new_tuples;
-    std::mutex mu;
-    std::condition_variable cv;        // Owner waits for completion.
-  };
-
   // Shared state of one parallel run: the dependency DAG (atomic
-  // remaining-dependency counters plus reverse edges), the ready queue, and
-  // the open morsel fan-outs idle workers can join.
+  // remaining-dependency counters plus reverse edges) and the ready queue.
   struct Scheduler {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<int> ready;                  // Predicates ready to run.
-    std::vector<MorselBatch*> batches;      // Fan-outs with unclaimed work.
     std::unique_ptr<std::atomic<int>[]> remaining;
     std::vector<std::vector<int>> dependents;
     int pending = 0;  // Tasks not yet finished (guarded by mu).
-    int idle = 0;     // Workers blocked on cv (guarded by mu).
     bool done = false;
   };
 
@@ -555,8 +506,8 @@ class Evaluator {
   void StartClock(const ExecuteRequest& request);
   // Polls the wall-clock deadline; on expiry sets deadline_exceeded_ and
   // aborted_ and returns true.  Called from the join emission path and from
-  // the index-build and shard-merge loops, so a single oversized relation
-  // cannot blow past EvaluatorLimits::deadline_ms.
+  // the index-build loops, so a single oversized relation cannot blow past
+  // EvaluatorLimits::deadline_ms.
   bool DeadlineExpired();
   // The full cooperative abort poll: cancel token, then deadline.  Every
   // former DeadlineExpired() poll site goes through this, so cancellation
@@ -605,9 +556,9 @@ class Evaluator {
   // against those narrowed column layouts.  Called at the end of
   // CompilePlan when limits_.batch_rows > 0.
   void CompileBatchPlan(ClausePlan* plan);
-  // Sizes the context's batch scratch for `plan` (no-op when already sized
-  // for it) and charges the capacity bytes to the memory account; returns
-  // false iff the charge failed (evaluation aborts with memory_exceeded).
+  // Sizes the context's batch scratch for `plan` and charges the capacity
+  // bytes to the memory account; returns false iff the charge failed
+  // (evaluation aborts with memory_exceeded).
   bool EnsureBatchScratch(const ClausePlan& plan, JoinContext* ctx);
   // The batch join: consumes the input batch at ctx->levels[next], appends
   // matches to levels[next + 1], and recurses whenever the output batch
@@ -622,9 +573,12 @@ class Evaluator {
   // Folds the context's batch tallies into the evaluator-wide counters and
   // the metrics registry; called once per RunJoin on the batch path.
   void FlushBatchMetrics(JoinContext* ctx);
-  // Runs the join of `plan` into `out` over the context's driver range,
-  // resetting the context's per-run buffers (but not its tallies).
+  // Runs the join of `plan` into `out`, resetting the context's per-run
+  // buffers (but not its tallies).
   void RunJoin(const ClausePlan& plan, JoinContext* ctx, Rows* out);
+  // Plans clause `ci` and joins it into `out` under an `evaluate/join`
+  // span (no-op once aborted); shared by the sequential path and the
+  // scheduler's tasks.
   void EvaluateClause(int ci, JoinContext* ctx, Rows* out);
   // Join/Emit return false to unwind the whole backtracking join after an
   // abort (limit exhausted, deadline expired, or another worker aborted);
@@ -638,19 +592,11 @@ class Evaluator {
   // deadline, and re-arms the countdown to min(kDeadlineCheckInterval,
   // distance to the nearest limit).  Returns false iff evaluation aborted.
   bool FlushLimits(JoinContext* ctx);
-  // DAG-scheduler internals (see DESIGN.md section 7).
-  void SchedulerWorker(Scheduler* sched, int worker_id, int num_workers);
-  void RunPredicateTask(Scheduler* sched, int predicate, int worker_id,
-                        int num_workers);
-  void RunClauseFanOut(Scheduler* sched, const ClausePlan& plan,
-                       int worker_id, int num_workers, Rows* out);
-  void RunMorsels(MorselBatch* batch, int worker_id);
-  // Steals the upper half of the largest driver range still published in
-  // batch->active (>= 2 * chunk_rows remaining); on success stores the
-  // stolen range in [*begin, *end) and returns true.  Lock-free: a single
-  // CAS on the victim's packed range, retried against its chunk advances.
-  bool StealRange(MorselBatch* batch, size_t* begin, size_t* end);
-  long MergeShards(MorselBatch* batch, Rows* out);
+  // DAG-scheduler internals (see DESIGN.md section 7): a worker runs ready
+  // tasks or waits; a task materialises one predicate and releases its
+  // dependents.
+  void SchedulerWorker(Scheduler* sched);
+  void RunPredicateTask(Scheduler* sched, int predicate);
   // The two full-evaluation paths behind Run: materialise the goal's
   // dependency closure sequentially, or on the DAG scheduler.
   void RunSequential(const ExecuteRequest& request, ExecuteResult* result);
@@ -684,11 +630,8 @@ class Evaluator {
   std::atomic<bool> memory_exceeded_{false};
   std::atomic<bool> row_ceiling_{false};
   std::atomic<long> scheduler_tasks_{0};
-  std::atomic<long> morsel_batches_{0};
-  std::atomic<long> morsels_{0};
   std::atomic<long> batch_rows_{0};
   std::atomic<long> batch_probes_{0};
-  std::atomic<long> steals_{0};
   double slowest_task_ms_ = 0;  // Written under the scheduler mutex.
   std::vector<std::unique_ptr<PredicateState>> preds_;
 };

@@ -102,8 +102,10 @@ bool ParseErrorBody(const JsonValue& body, Status* out);
 //    "complete_instances": false, "num_threads": 1, "incremental": false,
 //    "queue_timeout_ms": -1,
 //    "limits": {"max_generated_tuples": 0, "max_work": 0, "deadline_ms": 0,
-//               "morsel_rows": 2048, "batch_rows": 1024}}
-// Only "query" is required; everything else defaults as shown.
+//               "batch_rows": 1024}}
+// Only "query" is required; everything else defaults as shown.  Unknown
+// keys are ignored, so requests naming a limit this version dropped still
+// decode.
 struct WireExecuteRequest {
   std::string query;
   std::string rewriter = "auto";

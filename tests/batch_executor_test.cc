@@ -6,8 +6,8 @@
 // (scans, probes under every key mask, equality and adom built-ins,
 // constants, repeated variables), IDB truncation at the row
 // ceiling, deadline aborts mid-batch, and the semi-naive delta path.  Part
-// of the `sanitize` binary, so TSan/ASan builds cover the batch scratch and
-// the morsel/steal interaction directly.
+// of the `sanitize` binary, so TSan/ASan builds cover the batch scratch
+// under the DAG scheduler directly.
 
 #include <gtest/gtest.h>
 
@@ -198,9 +198,8 @@ TEST(BatchExecutorTest, RandomizedProgramDifferential) {
   }
 }
 
-// The same differential through the DAG scheduler and the morsel/steal
-// machinery: thread counts > 1 with a low morsel threshold so clauses fan
-// out, with and without batching.
+// The same differential through the DAG scheduler: thread counts > 1, with
+// and without batching.
 TEST(BatchExecutorTest, ParallelDifferential) {
   for (unsigned seed = 0; seed < 4; ++seed) {
     std::mt19937_64 rng(7300 + seed);
@@ -212,9 +211,8 @@ TEST(BatchExecutorTest, ParallelDifferential) {
 
     for (int threads : {2, 4}) {
       for (long batch_rows : {0L, 4L, 1024L}) {
-        EvaluatorLimits limits = BatchLimits(batch_rows);
-        limits.morsel_rows = 16;
-        const ExecuteResult parallel = RunWith(program, data, limits, threads);
+        const ExecuteResult parallel =
+            RunWith(program, data, BatchLimits(batch_rows), threads);
         std::string label = "seed " + std::to_string(seed) + " threads " +
                             std::to_string(threads) + " batch_rows " +
                             std::to_string(batch_rows);

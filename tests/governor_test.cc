@@ -1,8 +1,8 @@
 // Tests for the resource governor stack: MemoryBudget/MemoryAccount
 // exactness, cooperative cancellation through every evaluator poll point,
 // memory-abort behaviour, admission control (slots, FIFO queue, timeouts,
-// shedding), graceful degradation, the Rows row-ceiling saturation (the
-// morsel-shard merge regression), and the abortable shared snapshot index
+// shedding), graceful degradation, the Rows row-ceiling saturation
+// (sequential and DAG-scheduled), and the abortable shared snapshot index
 // build.  Part of the `sanitize` ctest label.
 
 #include <gtest/gtest.h>
@@ -324,10 +324,11 @@ TEST(RowCeilingTest, SequentialJoinSaturatesAtCeiling) {
   EXPECT_LE(result.answers.size(), 100u);
 }
 
-// Regression: the morsel-shard merge path writes through Rows::Insert too;
-// merging shards whose union passes the ceiling must saturate, flag the
-// abort, and leave a sound prefix — under the old code the merge loop
-// OWLQR_CHECKed and took the whole process down.
+// The same ceiling through the DAG scheduler at 4 threads: the task that
+// drives its relation past the ceiling must saturate, flag the abort, and
+// leave a sound prefix.  (The name dates from the removed intra-clause
+// shard merge, whose loop once OWLQR_CHECKed here; it is kept so the test
+// id stays stable.)
 TEST(RowCeilingTest, MorselShardMergeSaturatesAtCeiling) {
   Vocabulary vocab;
   NdlProgram program = JoinProgram(&vocab);
@@ -337,13 +338,12 @@ TEST(RowCeilingTest, MorselShardMergeSaturatesAtCeiling) {
   Evaluator eval(program, snapshot);
   ExecuteRequest request;
   request.num_threads = 4;
-  request.limits.morsel_rows = 64;  // Force intra-clause fan-out.
   ExecuteResult result = eval.Run(request);
   EXPECT_TRUE(result.stats.aborted);
   EXPECT_TRUE(result.stats.row_ceiling);
   EXPECT_TRUE(result.partial);
   EXPECT_LE(result.answers.size(), 400u);
-  EXPECT_GT(result.stats.morsels, 0);  // The fan-out actually happened.
+  EXPECT_GT(result.stats.scheduler_tasks, 0);  // Ran on the DAG scheduler.
 }
 
 // --- Abortable shared snapshot index build ---------------------------------

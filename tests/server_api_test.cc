@@ -115,7 +115,6 @@ TEST(WireCodecTest, ExecuteRequestRoundTripsEveryField) {
   original.exec.limits.max_generated_tuples = 1000;
   original.exec.limits.max_work = 50000;
   original.exec.limits.deadline_ms = 750;
-  original.exec.limits.morsel_rows = 512;
   original.exec.limits.batch_rows = 256;
 
   api::WireExecuteRequest decoded;
@@ -131,7 +130,6 @@ TEST(WireCodecTest, ExecuteRequestRoundTripsEveryField) {
   EXPECT_EQ(decoded.exec.limits.max_generated_tuples, 1000);
   EXPECT_EQ(decoded.exec.limits.max_work, 50000);
   EXPECT_EQ(decoded.exec.limits.deadline_ms, 750);
-  EXPECT_EQ(decoded.exec.limits.morsel_rows, 512);
   EXPECT_EQ(decoded.exec.limits.batch_rows, 256);
 }
 
@@ -144,6 +142,23 @@ TEST(WireCodecTest, ExecuteRequestDefaultsEverythingButQuery) {
   EXPECT_FALSE(decoded.complete_instances);
   EXPECT_EQ(decoded.exec.num_threads, 1);
   EXPECT_EQ(decoded.exec.queue_timeout_ms, -1);
+}
+
+// "morsel_rows" was a limit in earlier versions of the wire API.  Requests
+// from clients that still send it must decode like any request carrying an
+// unknown key: status OK, the key ignored, every other limit honoured.
+TEST(WireCodecTest, ExecuteRequestIgnoresRetiredMorselRowsLimit) {
+  api::WireExecuteRequest decoded;
+  ASSERT_TRUE(api::ExecuteRequestFromJson(
+                  MustParse("{\"query\": \"q(x) :- A(x)\", \"limits\": "
+                            "{\"max_work\": 9, \"morsel_rows\": 64, "
+                            "\"batch_rows\": 32}}"),
+                  &decoded)
+                  .ok());
+  EXPECT_EQ(decoded.exec.limits.max_work, 9);
+  EXPECT_EQ(decoded.exec.limits.batch_rows, 32);
+  EXPECT_EQ(api::ExecuteRequestToJson(decoded).find("morsel_rows"),
+            std::string::npos);
 }
 
 TEST(WireCodecTest, ExecuteRequestRejectsMissingOrMistypedFields) {

@@ -5,10 +5,10 @@
 # the stock library_build_type reflects the distro's libbenchmark, not our
 # flags).  The parallelism baseline must additionally cover both thread
 # counts, report the scheduler and batch-executor counters (JoinEmissions,
-# StealCount, BatchRows, BatchProbes), and show the columnar executor
-# beating the scalar oracle by >= 1.5x on the Tw/len15 t4 A/B cell — so
-# neither a stale pre-scheduler baseline nor a perf regression of the batch
-# path can sneak back in.  The engine baseline must cover the cold/warm x
+# BatchRows, BatchProbes), and show the columnar executor beating the
+# scalar oracle by >= 1.5x on the Tw/len15 t4 A/B cell — so neither a stale
+# pre-scheduler baseline nor a perf regression of the batch path can sneak
+# back in.  The engine baseline must cover the cold/warm x
 # t1/t4 grid with the expected cache-hit rates, warm serves must be
 # substantially faster than cold ones (the whole point of the plan cache),
 # and the governed overload scenario must report shedding and
@@ -50,7 +50,7 @@ if os.path.basename(path) == "BENCH_parallelism.json":
             f"{path}: missing {needle} configurations"
     sample = next(b for b in benches if "len15" in b["name"])
     for counter in ("SchedulerTasks", "GeneratedTuples", "JoinEmissions",
-                    "StealCount", "BatchRows", "BatchProbes"):
+                    "BatchRows", "BatchProbes"):
         assert counter in sample, f"{path}: missing counter {counter}"
     # The same-binary batch-vs-scalar A/B (Tw/len15 at the fixed A/B scale;
     # see bench_parallelism.cc): both legs must agree on the deterministic
