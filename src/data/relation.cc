@@ -75,6 +75,32 @@ Rows::SlotBuffer& Rows::SlotBuffer::operator=(SlotBuffer&& o) noexcept {
 
 Rows::SlotBuffer::~SlotBuffer() { std::free(data); }
 
+Rows& Rows::operator=(Rows&& o) noexcept {
+  if (this != &o) {
+    arity = o.arity;
+    materialized = o.materialized;
+    // Moving a vector hands over its buffer, so base_ stays valid.
+    cells_ = std::move(o.cells_);
+    base_ = o.base_;
+    num_rows_ = o.num_rows_;
+    at_row_ceiling_ = o.at_row_ceiling_;
+    slots_ = std::move(o.slots_);
+    small_ = std::move(o.small_);
+    store_ = std::move(o.store_);
+    o.cells_.clear();
+    o.base_ = nullptr;
+    o.num_rows_ = 0;
+    o.at_row_ceiling_ = false;
+    o.slots_.clear();
+  }
+  return *this;
+}
+
+void Rows::AppendCells(const int* tuple) {
+  cells_.insert(cells_.end(), tuple, tuple + arity);
+  base_ = cells_.data();
+}
+
 bool Rows::Insert(const int* tuple) {
   if (arity == 0) {
     // The zero-ary relation holds at most the empty tuple.
@@ -86,14 +112,23 @@ bool Rows::Insert(const int* tuple) {
 }
 
 bool Rows::Contains(const int* tuple) const {
-  if (arity == 0) return num_rows_ > 0;
+  if (store_ == nullptr) return ContainsBelow(tuple, num_rows_);
+  std::lock_guard<std::mutex> lock(store_->mu_);
+  return store_->rows_.ContainsBelow(tuple, num_rows_);
+}
+
+bool Rows::ContainsBelow(const int* tuple, size_t limit) const {
+  // A tuple occupies at most one slot, so a key match decides: present iff
+  // its row id is below the limit.  Slots of rows past the limit still
+  // chain the probe sequence, so the probe walks past them.
+  if (arity == 0) return num_rows_ > 0 && limit > 0;
   if (arity <= 2) {
     if (small_.size == 0) return false;
     size_t mask = small_.size - 1;
     uint64_t key = PackSmall(tuple, arity);
     size_t pos = HashTuple(tuple, arity) & mask;
     while (small_[pos].id != 0) {
-      if (small_[pos].key == key) return true;
+      if (small_[pos].key == key) return small_[pos].id <= limit;
       pos = (pos + 1) & mask;
     }
     return false;
@@ -102,7 +137,9 @@ bool Rows::Contains(const int* tuple) const {
   size_t mask = slots_.size() - 1;
   size_t pos = HashTuple(tuple, arity) & mask;
   while (slots_[pos] != 0) {
-    if (std::equal(tuple, tuple + arity, row(slots_[pos] - 1))) return true;
+    if (std::equal(tuple, tuple + arity, row(slots_[pos] - 1))) {
+      return slots_[pos] <= limit;
+    }
     pos = (pos + 1) & mask;
   }
   return false;
@@ -126,7 +163,7 @@ bool Rows::InsertSmall(const int* tuple) {
   small_[pos].key = key;
   small_[pos].id = static_cast<uint32_t>(num_rows_ + 1);
   small_[pos].hash32 = static_cast<uint32_t>(hash);
-  cells.insert(cells.end(), tuple, tuple + arity);
+  AppendCells(tuple);
   if (++num_rows_ == NearOverflowMark(ceiling)) {
     OWLQR_COUNT("evaluator/rows_near_overflow", 1);
   }
@@ -148,7 +185,7 @@ bool Rows::InsertWide(const int* tuple) {
     return false;
   }
   slots_[pos] = static_cast<uint32_t>(num_rows_ + 1);
-  cells.insert(cells.end(), tuple, tuple + arity);
+  AppendCells(tuple);
   if (++num_rows_ == NearOverflowMark(ceiling)) {
     OWLQR_COUNT("evaluator/rows_near_overflow", 1);
   }
@@ -243,8 +280,9 @@ size_t Rows::InsertBatch(const int* tuples, size_t n, const size_t* hashes,
     small_[pos].key = key;
     small_[pos].id = static_cast<uint32_t>(num_rows_ + 1);
     small_[pos].hash32 = static_cast<uint32_t>(hash);
-    cells.push_back(tuple[0]);
-    if (arity == 2) cells.push_back(tuple[1]);
+    cells_.push_back(tuple[0]);
+    if (arity == 2) cells_.push_back(tuple[1]);
+    base_ = cells_.data();
     new_idx[added++] = static_cast<uint32_t>(i);
     if (++num_rows_ == near_mark) {
       OWLQR_COUNT("evaluator/rows_near_overflow", 1);
@@ -288,24 +326,29 @@ void Rows::Reserve(size_t expected_rows) {
 }
 
 void Rows::AdoptColumn(int arity_in, const int* column, size_t num_rows) {
-  OWLQR_CHECK_MSG(num_rows_ == 0 && cells.empty(),
-                  "AdoptColumn requires an empty relation");
+  OWLQR_CHECK_MSG(num_rows_ == 0 && cells_.empty() && store_ == nullptr,
+                  "AdoptColumn requires an empty owning relation");
   arity = arity_in;
   materialized = true;
   if (arity == 0) {
     num_rows_ = num_rows > 0 ? 1 : 0;
     return;
   }
-  cells.assign(column, column + num_rows * static_cast<size_t>(arity));
+  // Appending keeps an arena a RowStore reserved at its capacity.
+  cells_.insert(cells_.end(), column,
+                column + num_rows * static_cast<size_t>(arity));
+  base_ = cells_.data();
   num_rows_ = num_rows;
   if (num_rows == 0) return;
-  // Presize the dedup table for the final row count and place every row in
-  // one pass.  Distinctness is the caller's contract, so placement skips
-  // the duplicate compare and only walks to the first empty slot.
+  // Presize the dedup table for the final row count (unless a RowStore
+  // already sized it for more) and place every row in one pass.
+  // Distinctness is the caller's contract, so placement skips the
+  // duplicate compare and only walks to the first empty slot.
   size_t capacity = 64;
   while (capacity < num_rows * 2) capacity <<= 1;
   if (arity <= 2) {
-    small_ = SlotBuffer(capacity);
+    if (small_.size < capacity) small_ = SlotBuffer(capacity);
+    capacity = small_.size;
     const size_t mask = capacity - 1;
     for (size_t r = 0; r < num_rows; ++r) {
       const int* tuple = row(r);
@@ -317,13 +360,83 @@ void Rows::AdoptColumn(int arity_in, const int* column, size_t num_rows) {
       small_[pos].hash32 = static_cast<uint32_t>(hash);
     }
   } else {
-    slots_.assign(capacity, 0);
+    if (slots_.size() < capacity) slots_.assign(capacity, 0);
+    capacity = slots_.size();
     const size_t mask = capacity - 1;
     for (size_t r = 0; r < num_rows; ++r) {
       size_t pos = HashTuple(row(r), arity) & mask;
       while (slots_[pos] != 0) pos = (pos + 1) & mask;
       slots_[pos] = static_cast<uint32_t>(r + 1);
     }
+  }
+}
+
+Rows Rows::View(std::shared_ptr<RowStore> store, size_t num_rows) {
+  Rows view;
+  {
+    std::lock_guard<std::mutex> lock(store->mu_);
+    const Rows& rows = store->rows_;
+    OWLQR_CHECK_MSG(num_rows <= rows.num_rows_,
+                    "a view past its store's rows");
+    view.arity = rows.arity;
+    view.base_ = rows.base_;
+  }
+  view.materialized = true;
+  view.num_rows_ = num_rows;
+  view.store_ = std::move(store);
+  return view;
+}
+
+bool Rows::Extend(const int* tuples, size_t n, Rows* out,
+                  size_t* copied_rows) const {
+  const size_t total = num_rows_ + n;
+  if (total > RowCeiling()) return false;
+  auto append = [this, tuples, n](Rows* tail) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!tail->Insert(tuples + static_cast<size_t>(arity) * i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (store_ != nullptr) {
+    std::unique_lock<std::mutex> lock(store_->mu_);
+    Rows& tip = store_->rows_;
+    if (tip.num_rows_ == num_rows_ && total <= store_->capacity_) {
+      // Rows a failed append leaves past num_rows_ are invisible to every
+      // view and make this version a non-tip, so they never resurface.
+      if (!append(&tip)) return false;
+      lock.unlock();
+      *out = View(store_, total);
+      return true;
+    }
+  }
+  // Not the tip, or no room: this version's rows, immutable in the shared
+  // arena, go into a store of their own.  It has room for as many rows
+  // again as it copies, so each copy is paid for by the appends that fill
+  // it before the next: amortised O(1) copied rows per appended row.
+  auto store = std::make_shared<RowStore>(arity, total + num_rows_);
+  store->rows_.AdoptColumn(arity, base_, num_rows_);
+  if (!append(&store->rows_)) return false;
+  *copied_rows += num_rows_;
+  *out = View(std::move(store), total);
+  return true;
+}
+
+RowStore::RowStore(int arity, size_t min_rows)
+    : capacity_([min_rows] {
+        size_t slots = 64;
+        while (slots <= min_rows * 2) slots <<= 1;
+        return slots / 2;
+      }()) {
+  rows_.arity = arity;
+  rows_.materialized = true;
+  rows_.cells_.reserve(capacity_ * static_cast<size_t>(arity));
+  rows_.base_ = rows_.cells_.data();
+  if (arity >= 1 && arity <= 2) {
+    rows_.small_ = Rows::SlotBuffer(capacity_ * 2);
+  } else if (arity > 2) {
+    rows_.slots_.assign(capacity_ * 2, 0);
   }
 }
 

@@ -3,19 +3,25 @@
 
 // Relation storage shared by the NDL evaluator and the engine's data
 // snapshots: a flat-arena tuple set with open-addressing deduplication
-// (Rows) and the CSR hash index probed by the join inner loop (HashIndex).
-// Both are plain data with no locking of their own; concurrent *reads* of a
-// fully built Rows/HashIndex are safe, and writers must be externally
-// single-threaded (the evaluator's single-writer-per-relation invariant,
-// the snapshot's build-then-freeze lifecycle).
+// (Rows), the append-only store that snapshot versions of a relation share
+// (RowStore), and the CSR hash index probed by the join inner loop
+// (HashIndex).  An owning Rows and a HashIndex are plain data with no
+// locking of their own; concurrent *reads* of a fully built one are safe,
+// and writers must be externally single-threaded (the evaluator's
+// single-writer-per-relation invariant).  A snapshot version is a read-only
+// Rows *view* of a RowStore's prefix; the store's mutex orders appends at
+// its tail against each other and against dedup probes.
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 namespace owlqr {
+
+class RowStore;
 
 namespace relation_internal {
 
@@ -97,27 +103,32 @@ inline void HashTupleBatch(const int* keys, int arity, size_t n,
 
 // One predicate's extension: a flat row-major arena of `arity`-strided
 // cells plus an open-addressing dedup table (slot = row index + 1).
+//
+// A Rows either owns its arena (the evaluator's IDB relations, a fact
+// batch being deduplicated) or is a read-only *view* of the first size()
+// rows of a shared RowStore (one snapshot version of an EDB relation; see
+// View and Extend).  Either way row(r) is base + r * arity over one
+// contiguous array, so readers cannot tell the two apart.
 struct Rows {
   int arity = 0;
-  std::vector<int> cells;
   bool materialized = false;
 
   Rows() = default;
-  // Deep copy (the copy-on-write step of DataSnapshot::ApplyFacts).
-  Rows(const Rows&) = default;
-  Rows& operator=(const Rows&) = default;
-  Rows(Rows&&) noexcept = default;
-  Rows& operator=(Rows&&) noexcept = default;
+  Rows(const Rows&) = delete;
+  Rows& operator=(const Rows&) = delete;
+  Rows(Rows&& o) noexcept { *this = std::move(o); }
+  Rows& operator=(Rows&& o) noexcept;
 
   size_t size() const { return num_rows_; }
   const int* row(size_t r) const {
-    return cells.data() + r * static_cast<size_t>(arity);
+    return base_ + r * static_cast<size_t>(arity);
   }
-  // Heap bytes held by this relation: the cells arena plus whichever dedup
+  // Heap bytes owned by this relation: the cells arena plus whichever dedup
   // table is live.  The number a MemoryAccount is charged for the relation
-  // (capacities, not sizes — what the allocator actually handed out).
+  // (capacities, not sizes — what the allocator actually handed out).  A
+  // view owns nothing; its store's bytes are shared by every version.
   size_t MemoryBytes() const {
-    return cells.capacity() * sizeof(int) +
+    return cells_.capacity() * sizeof(int) +
            slots_.capacity() * sizeof(uint32_t) +
            small_.size * sizeof(SmallSlot);
   }
@@ -140,7 +151,8 @@ struct Rows {
                      uint32_t* new_idx);
   // True iff `tuple` is already present.  The const dedup probe of Insert
   // (no growth, no mutation): DataSnapshot::WithFacts uses it to filter a
-  // fact batch against the parent relation before deciding to deep-copy.
+  // fact batch against the parent relation.  On a view it probes the
+  // store's table under the store's mutex and ignores rows past size().
   bool Contains(const int* tuple) const;
   // True iff the relation has hit the row ceiling and dropped an insert.
   bool AtRowCeiling() const { return at_row_ceiling_; }
@@ -162,6 +174,25 @@ struct Rows {
   // without a row-by-row rebuild.  The result is indistinguishable from
   // num_rows sequential Insert calls of the same tuples.
   void AdoptColumn(int arity_in, const int* column, size_t num_rows);
+
+  // The read-only view of the first `num_rows` rows of `store` (at most
+  // what the store holds).  Rows the store gains later stay invisible to
+  // it, and the view keeps the store alive.
+  static Rows View(std::shared_ptr<RowStore> store, size_t num_rows);
+
+  // The next snapshot version: sets `*out` to a view of this relation's
+  // rows followed by the `n` row-major `tuples`, which the caller has
+  // deduplicated against this relation and against each other.  When this
+  // view is its store's tip (no other version has appended past it) and
+  // the store has room, the tuples are appended in place and nothing is
+  // copied.  Otherwise — a second child of one parent, a child built after
+  // a discarded one, a full store, or an owning Rows — this version's rows
+  // are copied into a new store with room for as many rows again, and
+  // their count is added to `*copied_rows`.  Returns false, leaving `*out`
+  // alone, iff the row ceiling refuses a row.  Safe to call concurrently on
+  // views of one store.
+  bool Extend(const int* tuples, size_t n, Rows* out,
+              size_t* copied_rows) const;
 
   std::vector<std::vector<int>> ToTuples() const;
   // ToTuples() in lexicographic order, sorting row indices over the flat
@@ -207,16 +238,56 @@ struct Rows {
     size_t size = 0;
   };
 
+  friend class RowStore;
+
   bool InsertSmall(const int* tuple);
   bool InsertWide(const int* tuple);
+  // Contains over the rows with id < `limit` of this owning arena.
+  bool ContainsBelow(const int* tuple, size_t limit) const;
+  void AppendCells(const int* tuple);
   void RehashSmall(size_t capacity);
   void GrowSmall();
   void GrowWide();
 
+  std::vector<int> cells_;          // The arena of an owning Rows.
+  const int* base_ = nullptr;       // cells_.data(), or the store's arena.
   size_t num_rows_ = 0;
   bool at_row_ceiling_ = false;     // A ceiling refusal happened; see Insert.
   std::vector<uint32_t> slots_;     // Arity >= 3; power of two; 0 = empty.
   SlotBuffer small_;                // Arity 1-2; power-of-two sized.
+  std::shared_ptr<RowStore> store_;  // Set iff this is a view.
+};
+
+// The append-only backing of one snapshot relation's versions.  It owns a
+// Rows whose cells arena is allocated once at the store's capacity and
+// never reallocated, and whose dedup table is sized for that capacity, so
+// a view's base pointer stays valid while later versions append at the
+// tail.
+// A store is created either by a snapshot build (fill it through
+// mutable_rows() before making any view) or by Rows::Extend.
+class RowStore {
+ public:
+  // An empty store of `arity`-ary rows with room for more than `min_rows`
+  // rows: the capacity is half the smallest power-of-two dedup table (at
+  // least 64 slots) with more than 2 * min_rows slots, so the table is at
+  // most half full.
+  RowStore(int arity, size_t min_rows);
+
+  RowStore(const RowStore&) = delete;
+  RowStore& operator=(const RowStore&) = delete;
+
+  // Build phase only: no view of the store may exist yet.
+  Rows* mutable_rows() { return &rows_; }
+
+ private:
+  friend struct Rows;
+
+  const size_t capacity_;  // Rows.
+  // Guards rows_ (its row count, tail and dedup table) once views exist.
+  // Rows below any view's size() never change, so views read them
+  // without it.
+  mutable std::mutex mu_;
+  Rows rows_;
 };
 
 // Hash index on the positions set in `mask` (bit i = position i bound):

@@ -9,6 +9,18 @@
 
 namespace owlqr {
 
+EdbRelation::EdbRelation(std::shared_ptr<RowStore> store) {
+  const size_t num_rows = store->mutable_rows()->size();
+  rows_ = Rows::View(std::move(store), num_rows);
+}
+
+std::shared_ptr<const EdbRelation> EdbRelation::Extend(
+    const int* tuples, size_t n, size_t* copied_rows) const {
+  auto next = std::make_shared<EdbRelation>(rows_.arity);
+  if (!rows_.Extend(tuples, n, &next->rows_, copied_rows)) return nullptr;
+  return next;
+}
+
 const HashIndex* EdbRelation::Index(unsigned mask, AbortPoll poll_abort,
                                     void* poll_arg, bool* built_now) const {
   if (built_now != nullptr) *built_now = false;
@@ -73,19 +85,21 @@ const HashIndex* EdbRelation::Index(unsigned mask, AbortPoll poll_abort,
 
 namespace {
 
-// The snapshot maps hold shared_ptr<const EdbRelation>; building goes
-// through a mutable pointer that is only handed out before publication.
-std::shared_ptr<EdbRelation> NewRelation(int arity) {
-  return std::make_shared<EdbRelation>(arity);
+// A relation built from `n` candidate rows (duplicates allowed) that
+// `insert_all` feeds into the store's rows before any view exists.
+template <typename InsertAll>
+std::shared_ptr<const EdbRelation> BuildRelation(int arity, size_t n,
+                                                 InsertAll insert_all) {
+  auto store = std::make_shared<RowStore>(arity, n);
+  insert_all(store->mutable_rows());
+  return std::make_shared<EdbRelation>(std::move(store));
 }
 
 std::shared_ptr<const EdbRelation> AdomRelation(
     const std::vector<int>& active_domain) {
-  std::shared_ptr<EdbRelation> rel = NewRelation(1);
-  Rows* rows = rel->mutable_rows();
-  rows->Reserve(active_domain.size());
-  for (int a : active_domain) rows->Insert(&a);
-  return rel;
+  return BuildRelation(1, active_domain.size(), [&](Rows* rows) {
+    for (int a : active_domain) rows->Insert(&a);
+  });
 }
 
 }  // namespace
@@ -99,37 +113,35 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::FromInstance(
   // accounting keeps working.
   OWLQR_NAMED_SPAN(edb_span, "evaluate/edb");
   for (int concept_id : data.ActiveConcepts()) {
-    std::shared_ptr<EdbRelation> rel = NewRelation(1);
-    Rows* rows = rel->mutable_rows();
     const auto& members = data.ConceptMembers(concept_id);
-    rows->Reserve(members.size());
-    for (int a : members) rows->Insert(&a);
-    snapshot->num_atoms_ += static_cast<long>(rows->size());
+    auto rel = BuildRelation(1, members.size(), [&](Rows* rows) {
+      for (int a : members) rows->Insert(&a);
+    });
+    snapshot->num_atoms_ += static_cast<long>(rel->rows().size());
     snapshot->concepts_.emplace(concept_id, std::move(rel));
   }
   for (int role_id : data.ActivePredicates()) {
-    std::shared_ptr<EdbRelation> rel = NewRelation(2);
-    Rows* rows = rel->mutable_rows();
     const auto& pairs = data.RolePairs(role_id);
-    rows->Reserve(pairs.size());
-    for (auto [a, b] : pairs) {
-      int pair[2] = {a, b};
-      rows->Insert(pair);
-    }
-    snapshot->num_atoms_ += static_cast<long>(rows->size());
+    auto rel = BuildRelation(2, pairs.size(), [&](Rows* rows) {
+      for (auto [a, b] : pairs) {
+        int pair[2] = {a, b};
+        rows->Insert(pair);
+      }
+    });
+    snapshot->num_atoms_ += static_cast<long>(rel->rows().size());
     snapshot->roles_.emplace(role_id, std::move(rel));
   }
   snapshot->active_domain_ = data.individuals();
   if (tables != nullptr) {
     for (int t = 0; t < tables->num_tables(); ++t) {
-      std::shared_ptr<EdbRelation> rel = NewRelation(tables->TableArity(t));
-      Rows* rows = rel->mutable_rows();
       const auto& source_rows = tables->Rows(t);
-      rows->Reserve(source_rows.size());
-      for (const std::vector<int>& row : source_rows) {
-        rows->Insert(row.data());
-      }
-      snapshot->tables_.emplace(t, std::move(rel));
+      snapshot->tables_.emplace(
+          t, BuildRelation(tables->TableArity(t), source_rows.size(),
+                           [&](Rows* rows) {
+                             for (const std::vector<int>& row : source_rows) {
+                               rows->Insert(row.data());
+                             }
+                           }));
     }
     for (int ind : tables->ActiveDomain()) {
       snapshot->active_domain_.push_back(ind);
@@ -194,15 +206,16 @@ void SnapshotDelta::MergeFrom(const SnapshotDelta& other) {
 }
 
 std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
-    const FactBatch& batch, SnapshotDelta* delta) const {
+    const FactBatch& batch, SnapshotDelta* delta, Status* status) const {
   OWLQR_NAMED_SPAN(span, "snapshot/apply-facts");
   if (delta != nullptr) *delta = SnapshotDelta();
+  if (status != nullptr) *status = Status::Ok();
 
   // Pass 1: deduplicate the batch against itself (each fresh Rows dedups on
-  // Insert) and against the parent (Contains, a const probe) before copying
-  // anything.  After this pass, fresh_* hold exactly the rows a successor
-  // snapshot appends — every entry has at least one row, and an individual
-  // is noted only when a genuinely new fact mentions it.
+  // Insert) and against the parent (Contains, a const probe) before
+  // appending anything.  After this pass, fresh_* hold exactly the rows a
+  // successor snapshot appends — every entry has at least one row, and an
+  // individual is noted only when a genuinely new fact mentions it.
   std::unordered_map<int, Rows> fresh_concepts;
   std::unordered_map<int, Rows> fresh_roles;
   auto fresh_for = [](std::unordered_map<int, Rows>& fresh, int id,
@@ -247,8 +260,8 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
 
   if (added == 0) {
     // Effectively-empty batch: every fact was already present, so the
-    // parent snapshot IS the result — same version(), no copies, and the
-    // delta stays empty.
+    // parent snapshot IS the result — same version(), and the delta stays
+    // empty.
     span.Attr("version", static_cast<long>(version_));
     span.Attr("added", 0);
     span.Attr("noop", 1);
@@ -260,8 +273,8 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
       new_individuals.end());
 
   auto next = std::shared_ptr<DataSnapshot>(new DataSnapshot());
-  // Share everything by default; only relations with fresh rows get the
-  // copy-on-write treatment below.
+  // Share everything by default; only relations with fresh rows get a new
+  // version below.
   next->concepts_ = concepts_;
   next->roles_ = roles_;
   next->tables_ = tables_;
@@ -277,22 +290,66 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     for (const auto& [id, rel] : lazy_roles_) next->roles_[id] = rel;
   }
 
-  auto grow =
-      [](std::unordered_map<int, std::shared_ptr<const EdbRelation>>& map,
-         int id, const Rows& fresh) {
-        auto it = map.find(id);
-        std::shared_ptr<EdbRelation> rel =
-            it == map.end() ? NewRelation(fresh.arity)
-                            : std::make_shared<EdbRelation>(*it->second);
-        Rows* rows = rel->mutable_rows();
-        for (size_t r = 0; r < fresh.size(); ++r) rows->Insert(fresh.row(r));
-        map[id] = std::move(rel);
-      };
+  // Pass 2: each touched relation's next version, appended at the tail of
+  // the parent's store (Rows::Extend).  A ceiling refusal anywhere refuses
+  // the whole batch; rows already appended for it sit past every published
+  // version's row count, so no version ever sees them.
+  size_t copied_rows = 0;
+  bool refused = false;
+  using RelationMap =
+      std::unordered_map<int, std::shared_ptr<const EdbRelation>>;
+  auto grow = [&copied_rows, &refused](RelationMap& map, int id,
+                                       const Rows& fresh) {
+    auto it = map.find(id);
+    const EdbRelation empty(fresh.arity);
+    const EdbRelation& parent = it == map.end() ? empty : *it->second;
+    std::shared_ptr<const EdbRelation> rel =
+        parent.Extend(fresh.row(0), fresh.size(), &copied_rows);
+    if (rel == nullptr) {
+      refused = true;
+    } else {
+      map[id] = std::move(rel);
+    }
+  };
   for (const auto& [id, fresh] : fresh_concepts) {
     grow(next->concepts_, id, fresh);
   }
   for (const auto& [id, fresh] : fresh_roles) {
     grow(next->roles_, id, fresh);
+  }
+
+  if (new_individuals.empty()) {
+    // Same active domain, so the TOP relation and the sorted individual
+    // list are shared too.
+    next->active_domain_ = active_domain_;
+    next->adom_ = adom_;
+  } else {
+    // The new individuals are sorted and absent from the parent's domain:
+    // splice each in between bulk copies of the runs around it.
+    std::vector<int>& domain = next->active_domain_;
+    domain.reserve(active_domain_.size() + new_individuals.size());
+    auto from = active_domain_.begin();
+    for (int ind : new_individuals) {
+      auto at = std::lower_bound(from, active_domain_.end(), ind);
+      domain.insert(domain.end(), from, at);
+      domain.push_back(ind);
+      from = at;
+    }
+    domain.insert(domain.end(), from, active_domain_.end());
+    next->adom_ = adom_->Extend(new_individuals.data(), new_individuals.size(),
+                                &copied_rows);
+    if (next->adom_ == nullptr) refused = true;
+  }
+
+  span.Attr("copied_rows", static_cast<long>(copied_rows));
+  if (refused) {
+    span.Attr("version", static_cast<long>(version_));
+    span.Attr("refused", 1);
+    if (status != nullptr) {
+      *status = Status::MemoryExceeded(
+          "ApplyFacts: a relation is at its row ceiling");
+    }
+    return shared_from_this();
   }
 
   if (source_ != nullptr) {
@@ -310,35 +367,21 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     next->cold_roles_ = still_cold(cold_roles_, /*role=*/true);
   }
 
-  if (new_individuals.empty()) {
-    // Same active domain, so the (potentially large) TOP relation and the
-    // sorted individual list are shared too.
-    next->active_domain_ = active_domain_;
-    next->adom_ = adom_;
-  } else {
-    next->active_domain_.reserve(active_domain_.size() +
-                                 new_individuals.size());
-    std::merge(active_domain_.begin(), active_domain_.end(),
-               new_individuals.begin(), new_individuals.end(),
-               std::back_inserter(next->active_domain_));
-    next->adom_ = AdomRelation(next->active_domain_);
-  }
-
   if (delta != nullptr) {
-    // The fresh cells arenas are already exactly the appended rows in
-    // insertion order; hand them over wholesale.
-    for (auto& [id, fresh] : fresh_concepts) {
-      delta->concept_rows.emplace(id, std::move(fresh.cells));
+    // The fresh arenas are exactly the appended rows in insertion order.
+    auto cells = [](const Rows& fresh) {
+      return std::vector<int>(fresh.row(0), fresh.row(fresh.size()));
+    };
+    for (const auto& [id, fresh] : fresh_concepts) {
+      delta->concept_rows.emplace(id, cells(fresh));
     }
-    for (auto& [id, fresh] : fresh_roles) {
-      delta->role_rows.emplace(id, std::move(fresh.cells));
+    for (const auto& [id, fresh] : fresh_roles) {
+      delta->role_rows.emplace(id, cells(fresh));
     }
     delta->new_individuals = std::move(new_individuals);
   }
   span.Attr("version", static_cast<long>(next->version_));
   span.Attr("added", added);
-  span.Attr("copied_relations",
-            static_cast<long>(fresh_concepts.size() + fresh_roles.size()));
   return next;
 }
 

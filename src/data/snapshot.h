@@ -9,9 +9,13 @@
 // hash-index cache.  Snapshots are handed out as shared_ptr<const
 // DataSnapshot>; an execution pins the version it started on and is
 // unaffected by later updates.  Updates never mutate a snapshot — ApplyFacts
-// goes through WithFacts, which builds a *new* snapshot copy-on-write:
-// untouched relations are shared with the parent (a shared_ptr copy per
-// entry), only relations an update actually grows are deep-copied.
+// goes through WithFacts, which builds a *new* snapshot: untouched
+// relations are shared with the parent (a shared_ptr copy per entry), and
+// each relation an update grows — the TOP/adom relation included — becomes
+// a new view of the same append-only RowStore, its fresh rows appended at
+// the store's tail.  So an update costs O(delta), not O(|A|); a relation's
+// rows are copied only when its store is full or another version already
+// appended past the parent (see Rows::Extend).
 //
 // Thread-safety: everything here is either immutable after construction or
 // (the index cache) guarded by a per-relation state machine, so any number
@@ -33,25 +37,32 @@
 #include "data/data_instance.h"
 #include "data/relation.h"
 #include "data/table_store.h"
+#include "util/status.h"
 
 namespace owlqr {
 
-// One frozen EDB relation plus its lazily built, shared index cache.
+// One frozen EDB relation version plus its lazily built, shared index
+// cache.
 class EdbRelation {
  public:
+  // The empty relation of `arity`, the parent of a relation's first rows.
   explicit EdbRelation(int arity) {
     rows_.arity = arity;
     rows_.materialized = true;
   }
-  // Copies the rows but starts a fresh (empty) index cache: the copy is
-  // about to be grown by WithFacts, so the parent's indexes are stale.
-  EdbRelation(const EdbRelation& o) : rows_(o.rows_) {}
+  // The version holding every row `store` holds now (its build is over).
+  explicit EdbRelation(std::shared_ptr<RowStore> store);
+  EdbRelation(const EdbRelation&) = delete;
   EdbRelation& operator=(const EdbRelation&) = delete;
 
   const Rows& rows() const { return rows_; }
-  // Build-phase only: callers must not hand the relation to readers until
-  // they are done inserting.
-  Rows* mutable_rows() { return &rows_; }
+
+  // The next version: this relation plus `n` row-major tuples, already
+  // deduplicated against it and each other (see Rows::Extend, which counts
+  // any rows it had to copy into `*copied_rows`).  Its index cache starts
+  // empty.  Null iff the row ceiling refused a row.
+  std::shared_ptr<const EdbRelation> Extend(const int* tuples, size_t n,
+                                            size_t* copied_rows) const;
 
   // The hash index on the key positions in `mask`, built on first use and
   // shared by every execution thereafter.  `built_now` (nullable) reports
@@ -169,21 +180,26 @@ class DataSnapshot : public std::enable_shared_from_this<DataSnapshot> {
       std::vector<int> cold_concepts, std::vector<int> cold_roles,
       std::shared_ptr<const ColumnSource> source);
 
-  // The copy-on-write update: a new snapshot whose touched concept / role
-  // relations are deep-copied and grown by `batch`, with every other
-  // relation shared with `this`.  Individuals mentioned by the batch join
-  // the active domain.  `this` is unchanged; executions holding it run on.
+  // The update: a new snapshot whose touched concept / role relations are
+  // grown by `batch` (each a new version of its parent's RowStore; see
+  // Rows::Extend), with every other relation shared with `this`.
+  // Individuals mentioned by the batch join the active domain and the TOP
+  // relation.  `this` is unchanged; executions holding it run on.
   //
   // The batch is deduplicated against both itself and the parent before
-  // anything is copied: a fact already present contributes nothing, and a
-  // batch with no genuinely new facts returns `this` unchanged — same
-  // version(), no copy, so re-asserting known facts is free and can never
-  // inflate num_atoms() or fabricate phantom delta rows.
+  // anything is appended: a fact already present contributes nothing, and
+  // a batch with no genuinely new facts returns `this` unchanged — same
+  // version(), so re-asserting known facts is free and can never inflate
+  // num_atoms() or fabricate phantom delta rows.
   //
   // `delta` (nullable) receives the exact appended rows (see SnapshotDelta);
-  // it is cleared first and left empty on the no-op path.
+  // it is cleared first and left empty on the no-op path.  If a relation at
+  // the row ceiling refuses a row, the batch is refused whole: `this` is
+  // returned with an empty delta, and `status` (nullable) is set to
+  // kMemoryExceeded; otherwise it is set to Ok.
   std::shared_ptr<const DataSnapshot> WithFacts(
-      const FactBatch& batch, SnapshotDelta* delta = nullptr) const;
+      const FactBatch& batch, SnapshotDelta* delta = nullptr,
+      Status* status = nullptr) const;
 
   // Monotonically increasing along a WithFacts chain (starts at 1).
   uint64_t version() const { return version_; }

@@ -453,8 +453,8 @@ Status Engine::ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
   uint64_t new_version;
   {
     // One in-flight WithFacts at a time (monotone versions, gap-free delta
-    // log); the expensive copy-on-write build runs with snapshot_mutex_
-    // RELEASED, so Execute calls pin snapshots without waiting behind it.
+    // log); the successor build runs with snapshot_mutex_ RELEASED, so
+    // Execute calls pin snapshots without waiting behind it.
     std::lock_guard<std::mutex> apply_lock(apply_mutex_);
     std::shared_ptr<const DataSnapshot> parent;
     {
@@ -462,7 +462,10 @@ Status Engine::ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
       parent = snapshot_;
     }
     SnapshotDelta delta;
-    std::shared_ptr<const DataSnapshot> next = parent->WithFacts(batch, &delta);
+    Status refused;
+    std::shared_ptr<const DataSnapshot> next =
+        parent->WithFacts(batch, &delta, &refused);
+    if (!refused.ok()) return refused;  // Still on the parent; nothing logged.
     if (persist && store_ != nullptr && next != parent) {
       // Write-ahead: the delta (only the genuinely new rows, by name) must
       // be durable BEFORE the version is installed, so every version a

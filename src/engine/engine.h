@@ -14,7 +14,7 @@
 //   Execute(plan, req)   -> answers + stats, pinned to the snapshot version
 //                           current at call time; per-request limits and
 //                           thread count come in the ExecuteRequest.
-//   ApplyFactsOrError(batch) -> installs a new copy-on-write snapshot version;
+//   ApplyFactsOrError(batch) -> installs a new snapshot version;
 //                           executions already running keep the old
 //                           version alive via shared_ptr and are unaffected.
 //
@@ -173,8 +173,9 @@ class Engine {
                       Status* status = nullptr,
                       const PrepareOptions& prepare_options = {});
 
-  // Installs a new snapshot version extended by `batch` (copy-on-write per
-  // touched relation) and returns its version through `version` (nullable).
+  // Installs a new snapshot version extended by `batch` (each touched
+  // relation appended to in its shared store; see DataSnapshot::WithFacts)
+  // and returns its version through `version` (nullable).
   // In-flight executions keep the version they pinned.  Plans stay valid:
   // the cache key depends only on the TBox, not the data.
   //
@@ -183,9 +184,11 @@ class Engine {
   // returns kInvalidArgument and installs NOTHING — previously such facts
   // silently created orphan relations no rewriting could ever name.  A
   // batch whose facts are all already present is a no-op: the version does
-  // not change and no snapshot is built.
+  // not change and no snapshot is built.  A batch a relation at its row
+  // ceiling refuses returns kMemoryExceeded, stays on the current version
+  // and logs nothing.
   //
-  // The expensive copy-on-write build runs OUTSIDE the snapshot lock, so
+  // The successor build runs OUTSIDE the snapshot lock, so
   // concurrent Execute calls pin snapshots without waiting behind a large
   // update; concurrent ApplyFacts calls serialise among themselves.
   Status ApplyFactsOrError(const FactBatch& batch,
@@ -242,7 +245,7 @@ class Engine {
          const EngineOptions& options);
 
   // The body of ApplyFactsOrError.  With `persist`, the delta is appended
-  // (and fsynced) to the store BETWEEN the copy-on-write build and the
+  // (and fsynced) to the store BETWEEN the successor build and the
   // install — an append failure leaves the engine on the old version, so a
   // version is acknowledged iff it is durable — and a post-install
   // ShouldCompact triggers an inline checkpoint (failure counted, not

@@ -23,13 +23,15 @@ std::string ColumnFileName(const ColumnInfo& col) {
   return (col.role ? "r" : "c") + std::to_string(col.stored_id);
 }
 
-// The cell payload of one in-memory relation, as segment file bytes.
+// The cell payload of one in-memory relation version, as segment file
+// bytes: only the version's own rows, never rows a later version appended
+// to the store it shares.
 std::string EncodeColumnFile(const Rows& rows, uint32_t* crc_out) {
   std::string out;
   AppendFileHeader(&out, FileType::kColumn);
   const size_t cell_bytes = rows.size() * static_cast<size_t>(rows.arity) *
                             sizeof(int32_t);
-  out.append(reinterpret_cast<const char*>(rows.cells.data()), cell_bytes);
+  out.append(reinterpret_cast<const char*>(rows.row(0)), cell_bytes);
   *crc_out = Crc32(out.data() + kFileHeaderBytes, cell_bytes);
   return out;
 }
@@ -376,11 +378,13 @@ std::shared_ptr<const EdbRelation> SegmentReader::LoadColumn(bool role,
   const int32_t* cells =
       reinterpret_cast<const int32_t*>(map.data() + kFileHeaderBytes);
 
-  auto rel = std::make_shared<EdbRelation>(static_cast<int>(col.arity));
+  // A fresh store, so updates on the loaded snapshot append in place.
+  auto store =
+      std::make_shared<RowStore>(static_cast<int>(col.arity), col.num_rows);
   if (identity_individuals_) {
     // Fast path: stored ids == live ids, adopt the mmap'd arena verbatim.
-    rel->mutable_rows()->AdoptColumn(static_cast<int>(col.arity), cells,
-                                     col.num_rows);
+    store->mutable_rows()->AdoptColumn(static_cast<int>(col.arity), cells,
+                                       col.num_rows);
   } else {
     const size_t n_cells = col.num_rows * static_cast<size_t>(col.arity);
     std::vector<int> remapped(n_cells);
@@ -389,10 +393,10 @@ std::shared_ptr<const EdbRelation> SegmentReader::LoadColumn(bool role,
     }
     // Remapping is injective (both sides are interned name tables), so the
     // rows stay distinct and AdoptColumn's no-duplicate contract holds.
-    rel->mutable_rows()->AdoptColumn(static_cast<int>(col.arity),
-                                     remapped.data(), col.num_rows);
+    store->mutable_rows()->AdoptColumn(static_cast<int>(col.arity),
+                                       remapped.data(), col.num_rows);
   }
-  return rel;
+  return std::make_shared<EdbRelation>(std::move(store));
 }
 
 }  // namespace store

@@ -12,7 +12,8 @@
 //    must refuse (field-naming Status) rather than serve corrupt columns;
 //  - the recovery state machine's edges: a LOG with no CURRENT is data
 //    loss, a fingerprint mismatch is refused, a fully-cold recovery
-//    (store_resident_bytes = 1) still answers exactly.
+//    (store_resident_bytes = 1) still answers exactly;
+//  - replaying the log tail copies no relation (O(record), not O(|A|)).
 //
 // Engines are compared ACROSS vocabularies (a restarted process interns in
 // a different order), so answers are compared by individual name, not id.
@@ -39,6 +40,7 @@
 #include "store/log.h"
 #include "store/store.h"
 #include "syntax/parser.h"
+#include "util/metrics.h"
 
 namespace owlqr {
 namespace {
@@ -221,6 +223,34 @@ std::vector<size_t> RecordBoundaries(const std::string& log_bytes) {
   }
   EXPECT_EQ(offsets.back(), log_bytes.size());
   return offsets;
+}
+
+// Replaying the log tail appends each record at the tail of the stores
+// the segment load just filled: no relation is copied, whatever its size.
+TEST(StoreRecoveryTest, TailReplayCopiesNoRelation) {
+  constexpr int kRecords = 8;
+  const std::string dir = MakeTempDir("store_replay_copies");
+  BuildStore(dir, kRecords);
+
+  MetricsRegistry metrics;
+  MetricsRegistry::SetGlobal(&metrics);
+  Instance reopened = OpenInstance(dir);
+  MetricsRegistry::SetGlobal(nullptr);
+  ASSERT_NE(reopened.engine, nullptr) << reopened.open_status.ToString();
+  EXPECT_EQ(reopened.engine->snapshot_version(),
+            static_cast<uint64_t>(kRecords) + 1);
+  long replays = 0;
+  long copied_rows = 0;
+  for (const MetricsRegistry::Span& span : metrics.spans()) {
+    if (span.name != "snapshot/apply-facts") continue;
+    ++replays;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "copied_rows") copied_rows += value;
+    }
+  }
+  EXPECT_EQ(replays, kRecords);
+  EXPECT_EQ(copied_rows, 0);
+  EXPECT_EQ(AnswerNames(&reopened, kQueryC), OracleNames(kRecords, kQueryC));
 }
 
 TEST(StoreRecoveryTest, RoundTripPreservesVersionAndAnswers) {
