@@ -304,7 +304,6 @@ Status ExecuteRequestFromJson(const JsonValue& body, WireExecuteRequest* out) {
     }
     if (!(s = ReadLong(*limits, "max_work", &l->max_work)).ok()) return s;
     if (!(s = ReadLong(*limits, "deadline_ms", &l->deadline_ms)).ok()) return s;
-    if (!(s = ReadLong(*limits, "batch_rows", &l->batch_rows)).ok()) return s;
   }
   return Status::Ok();
 }
@@ -323,7 +322,6 @@ std::string ExecuteRequestToJson(const WireExecuteRequest& wire) {
   w.KV("max_generated_tuples", wire.exec.limits.max_generated_tuples);
   w.KV("max_work", wire.exec.limits.max_work);
   w.KV("deadline_ms", wire.exec.limits.deadline_ms);
-  w.KV("batch_rows", wire.exec.limits.batch_rows);
   w.EndObject();
   w.EndObject();
   return w.TakeString();

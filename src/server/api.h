@@ -101,11 +101,12 @@ bool ParseErrorBody(const JsonValue& body, Status* out);
 //   {"query": "q(x) :- R(x, y)", "rewriter": "auto",
 //    "complete_instances": false, "num_threads": 1, "incremental": false,
 //    "queue_timeout_ms": -1,
-//    "limits": {"max_generated_tuples": 0, "max_work": 0, "deadline_ms": 0,
-//               "batch_rows": 1024}}
+//    "limits": {"max_generated_tuples": 0, "max_work": 0, "deadline_ms": 0}}
 // Only "query" is required; everything else defaults as shown.  Unknown
-// keys are ignored, so requests naming a limit this version dropped still
-// decode.
+// keys are ignored, so requests naming a limit this version dropped
+// ("morsel_rows", "batch_rows") still decode.  EvaluatorLimits::batch_rows
+// is not on the wire: a served query runs the columnar executor at its
+// default batch width.
 struct WireExecuteRequest {
   std::string query;
   std::string rewriter = "auto";

@@ -170,7 +170,6 @@ Status DurableStore::Recover(Vocabulary* vocab, uint64_t tbox_fingerprint,
     counters_.log_records = log_->records();
     counters_.log_dropped_bytes = dropped;
     counters_.recovered_records = out->tail.size();
-    counters_.recovery_ms = ms;
   }
   span.Attr("tail_records", static_cast<long>(out->tail.size()));
   span.Attr("resident_bytes", static_cast<long>(resident_bytes));

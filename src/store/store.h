@@ -64,7 +64,6 @@ struct StoreCounters {
   uint64_t segments_written = 0;     // Checkpoints completed.
   uint64_t compactions_failed = 0;   // Checkpoints that returned an error.
   uint64_t recovered_records = 0;    // Log-tail records replayed at open.
-  double recovery_ms = 0;            // Store-side Recover() wall time.
 };
 
 // What Recover hands the engine: either a fresh store (seed it with a

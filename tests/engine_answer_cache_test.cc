@@ -253,6 +253,24 @@ TEST_F(EngineAnswerCacheTest, HitIsByteIdenticalAndTakesNoSlot) {
   engine.ClearAnswerCache();
   EXPECT_EQ(engine.answer_cache_size(), 0u);
   EXPECT_EQ(engine.governor_counters().memory_used, 0u);
+
+  // The control: with answer_cache_capacity = 0 nothing is memoized, so
+  // every repeat is a fresh, admitted evaluation of the same answers.
+  EngineOptions uncached_options;
+  uncached_options.answer_cache_capacity = 0;
+  Engine uncached(*tbox_, *base_, nullptr, uncached_options);
+  PrepareResult uncached_prepared =
+      uncached.Prepare(queries_[1], prepare_options_);
+  ASSERT_TRUE(uncached_prepared.ok());
+  for (int i = 0; i < 3; ++i) {
+    ExecuteResult repeat = uncached.Execute(*uncached_prepared.query);
+    ASSERT_TRUE(repeat.status.ok());
+    EXPECT_FALSE(repeat.cached);
+    EXPECT_EQ(repeat.answers, fresh.answers);
+  }
+  EXPECT_EQ(uncached.governor_counters().admitted, 3);
+  EXPECT_EQ(uncached.governor_counters().answer_cache_hits, 0);
+  EXPECT_EQ(uncached.answer_cache_size(), 0u);
 }
 
 TEST_F(EngineAnswerCacheTest, LimitsSignatureKeysSeparateEntries) {

@@ -115,7 +115,7 @@ TEST(WireCodecTest, ExecuteRequestRoundTripsEveryField) {
   original.exec.limits.max_generated_tuples = 1000;
   original.exec.limits.max_work = 50000;
   original.exec.limits.deadline_ms = 750;
-  original.exec.limits.batch_rows = 256;
+  original.exec.limits.batch_rows = 256;  // In-process only: not encoded.
 
   api::WireExecuteRequest decoded;
   ASSERT_TRUE(api::ExecuteRequestFromJson(
@@ -130,7 +130,9 @@ TEST(WireCodecTest, ExecuteRequestRoundTripsEveryField) {
   EXPECT_EQ(decoded.exec.limits.max_generated_tuples, 1000);
   EXPECT_EQ(decoded.exec.limits.max_work, 50000);
   EXPECT_EQ(decoded.exec.limits.deadline_ms, 750);
-  EXPECT_EQ(decoded.exec.limits.batch_rows, 256);
+  EXPECT_EQ(decoded.exec.limits.batch_rows, EvaluatorLimits().batch_rows);
+  EXPECT_EQ(api::ExecuteRequestToJson(original).find("batch_rows"),
+            std::string::npos);
 }
 
 TEST(WireCodecTest, ExecuteRequestDefaultsEverythingButQuery) {
@@ -144,9 +146,10 @@ TEST(WireCodecTest, ExecuteRequestDefaultsEverythingButQuery) {
   EXPECT_EQ(decoded.exec.queue_timeout_ms, -1);
 }
 
-// "morsel_rows" was a limit in earlier versions of the wire API.  Requests
-// from clients that still send it must decode like any request carrying an
-// unknown key: status OK, the key ignored, every other limit honoured.
+// "morsel_rows" and "batch_rows" were limits in earlier versions of the
+// wire API.  Requests from clients that still send them must decode like
+// any request carrying an unknown key: status OK, the key ignored (the
+// in-process default kept), every other limit honoured.
 TEST(WireCodecTest, ExecuteRequestIgnoresRetiredMorselRowsLimit) {
   api::WireExecuteRequest decoded;
   ASSERT_TRUE(api::ExecuteRequestFromJson(
@@ -156,9 +159,10 @@ TEST(WireCodecTest, ExecuteRequestIgnoresRetiredMorselRowsLimit) {
                   &decoded)
                   .ok());
   EXPECT_EQ(decoded.exec.limits.max_work, 9);
-  EXPECT_EQ(decoded.exec.limits.batch_rows, 32);
-  EXPECT_EQ(api::ExecuteRequestToJson(decoded).find("morsel_rows"),
-            std::string::npos);
+  EXPECT_EQ(decoded.exec.limits.batch_rows, EvaluatorLimits().batch_rows);
+  const std::string encoded = api::ExecuteRequestToJson(decoded);
+  EXPECT_EQ(encoded.find("morsel_rows"), std::string::npos);
+  EXPECT_EQ(encoded.find("batch_rows"), std::string::npos);
 }
 
 TEST(WireCodecTest, ExecuteRequestRejectsMissingOrMistypedFields) {

@@ -13,7 +13,10 @@
 //  - the recovery state machine's edges: a LOG with no CURRENT is data
 //    loss, a fingerprint mismatch is refused, a fully-cold recovery
 //    (store_resident_bytes = 1) still answers exactly;
-//  - replaying the log tail copies no relation (O(record), not O(|A|)).
+//  - replaying the log tail copies no relation (O(record), not O(|A|));
+//  - the store's counters are live: each durable batch is one appended log
+//    record, a reopen replays exactly those records, and executions never
+//    touch the store.
 //
 // Engines are compared ACROSS vocabularies (a restarted process interns in
 // a different order), so answers are compared by individual name, not id.
@@ -251,6 +254,62 @@ TEST(StoreRecoveryTest, TailReplayCopiesNoRelation) {
   EXPECT_EQ(replays, kRecords);
   EXPECT_EQ(copied_rows, 0);
   EXPECT_EQ(AnswerNames(&reopened, kQueryC), OracleNames(kRecords, kQueryC));
+}
+
+void ExpectSameCounters(const store::StoreCounters& a,
+                        const store::StoreCounters& b) {
+  EXPECT_EQ(a.log_bytes, b.log_bytes);
+  EXPECT_EQ(a.log_records, b.log_records);
+  EXPECT_EQ(a.appended_batches, b.appended_batches);
+  EXPECT_EQ(a.log_dropped_bytes, b.log_dropped_bytes);
+  EXPECT_EQ(a.segments_written, b.segments_written);
+  EXPECT_EQ(a.compactions_failed, b.compactions_failed);
+  EXPECT_EQ(a.recovered_records, b.recovered_records);
+}
+
+// K durable batches are K appended log records, a reopen replays exactly
+// those K, and reads never pay for durability: executions on the
+// store-backed engine leave every store counter where it was.
+TEST(StoreRecoveryTest, CountersTrackAppendsReplayAndIdleReads) {
+  constexpr int kBatches = 5;
+  const std::string dir = MakeTempDir("store_counters");
+  {
+    Instance inst = OpenInstance(dir);
+    ASSERT_NE(inst.engine, nullptr) << inst.open_status.ToString();
+    const store::StoreCounters before = inst.engine->store()->counters();
+    for (int b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(inst.engine
+                      ->ApplyFactsOrError(
+                          Intern(MakeBatch(b), inst.vocab.get()))
+                      .ok());
+    }
+    const store::StoreCounters after = inst.engine->store()->counters();
+    EXPECT_EQ(after.appended_batches, before.appended_batches + kBatches);
+    EXPECT_EQ(after.log_records, before.log_records + kBatches);
+    EXPECT_GT(after.log_bytes, before.log_bytes);
+  }
+
+  Instance reopened = OpenInstance(dir);
+  ASSERT_NE(reopened.engine, nullptr) << reopened.open_status.ToString();
+  const store::StoreCounters recovered = reopened.engine->store()->counters();
+  EXPECT_EQ(recovered.recovered_records, static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(recovered.appended_batches, 0u);
+  EXPECT_GT(reopened.engine->recovery_ms(), 0.0);
+
+  std::string error;
+  auto query = ParseQuery(kQueryC, reopened.vocab.get(), &error);
+  ASSERT_TRUE(query.has_value()) << error;
+  PrepareResult prepared = reopened.engine->Prepare(*query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+  EXPECT_TRUE(reopened.engine->Prepare(*query).cache_hit);
+  ExecuteRequest incremental;
+  incremental.incremental = true;
+  for (int i = 0; i < 8; ++i) {
+    ExecuteResult result = reopened.engine->Execute(
+        *prepared.query, i % 2 == 0 ? ExecuteRequest{} : incremental);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+  ExpectSameCounters(reopened.engine->store()->counters(), recovered);
 }
 
 TEST(StoreRecoveryTest, RoundTripPreservesVersionAndAnswers) {

@@ -2,8 +2,6 @@
 # Regenerates the committed benchmark baselines at the repository root:
 #   BENCH_parallelism.json  -- bench_parallelism (DAG scheduler, t1 vs t4)
 #   BENCH_table3.json       -- bench_table3_eval_seq1 (paper Table 3)
-#   BENCH_engine.json       -- bench_engine_throughput (plan cache cold/warm
-#                              + governed overload/t8 shedding scenario)
 # Usage: run_bench_baseline.sh [build-dir]   (default: ./build)
 # Run from an idle machine on a Release build (check_bench_json.sh rejects
 # debug recordings via context.owlqr_build_type); the table 3 sweep takes
@@ -20,7 +18,7 @@ set -eu
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD="${1:-$ROOT/build}"
 
-for bin in bench_parallelism bench_table3_eval_seq1 bench_engine_throughput; do
+for bin in bench_parallelism bench_table3_eval_seq1; do
   if [ ! -x "$BUILD/bench/$bin" ]; then
     echo "FAIL: $BUILD/bench/$bin not built (cmake --build $BUILD --target $bin)" >&2
     exit 1
@@ -39,12 +37,6 @@ echo "Writing $ROOT/BENCH_table3.json ..."
     --benchmark_out="$ROOT/BENCH_table3.json" \
     --benchmark_out_format=json > /dev/null
 
-echo "Writing $ROOT/BENCH_engine.json ..."
-"$BUILD/bench/bench_engine_throughput" \
-    --benchmark_format=json \
-    --benchmark_out="$ROOT/BENCH_engine.json" \
-    --benchmark_out_format=json > /dev/null
-
 "$ROOT/tools/check_bench_json.sh" "$ROOT/BENCH_parallelism.json" \
-    "$ROOT/BENCH_table3.json" "$ROOT/BENCH_engine.json"
+    "$ROOT/BENCH_table3.json"
 echo "Baselines regenerated."
