@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <utility>
 
 #include "util/metrics.h"
@@ -185,26 +184,6 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::FromColumns(
   return snapshot;
 }
 
-void SnapshotDelta::MergeFrom(const SnapshotDelta& other) {
-  for (const auto& [id, rows] : other.concept_rows) {
-    std::vector<int>& dst = concept_rows[id];
-    dst.insert(dst.end(), rows.begin(), rows.end());
-  }
-  for (const auto& [id, rows] : other.role_rows) {
-    std::vector<int>& dst = role_rows[id];
-    dst.insert(dst.end(), rows.begin(), rows.end());
-  }
-  if (!other.new_individuals.empty()) {
-    std::vector<int> merged;
-    merged.reserve(new_individuals.size() + other.new_individuals.size());
-    std::merge(new_individuals.begin(), new_individuals.end(),
-               other.new_individuals.begin(), other.new_individuals.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    new_individuals = std::move(merged);
-  }
-}
-
 std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     const FactBatch& batch, SnapshotDelta* delta, Status* status) const {
   OWLQR_NAMED_SPAN(span, "snapshot/apply-facts");
@@ -227,11 +206,11 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     }
     return &it->second;
   };
-  std::vector<int> new_individuals;
-  auto note_individual = [this, &new_individuals](int ind) {
+  std::vector<int> fresh_individuals;
+  auto note_individual = [this, &fresh_individuals](int ind) {
     if (!std::binary_search(active_domain_.begin(), active_domain_.end(),
                             ind)) {
-      new_individuals.push_back(ind);
+      fresh_individuals.push_back(ind);
     }
   };
 
@@ -267,10 +246,10 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     span.Attr("noop", 1);
     return shared_from_this();
   }
-  std::sort(new_individuals.begin(), new_individuals.end());
-  new_individuals.erase(
-      std::unique(new_individuals.begin(), new_individuals.end()),
-      new_individuals.end());
+  std::sort(fresh_individuals.begin(), fresh_individuals.end());
+  fresh_individuals.erase(
+      std::unique(fresh_individuals.begin(), fresh_individuals.end()),
+      fresh_individuals.end());
 
   auto next = std::shared_ptr<DataSnapshot>(new DataSnapshot());
   // Share everything by default; only relations with fresh rows get a new
@@ -318,7 +297,7 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     grow(next->roles_, id, fresh);
   }
 
-  if (new_individuals.empty()) {
+  if (fresh_individuals.empty()) {
     // Same active domain, so the TOP relation and the sorted individual
     // list are shared too.
     next->active_domain_ = active_domain_;
@@ -327,17 +306,17 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     // The new individuals are sorted and absent from the parent's domain:
     // splice each in between bulk copies of the runs around it.
     std::vector<int>& domain = next->active_domain_;
-    domain.reserve(active_domain_.size() + new_individuals.size());
+    domain.reserve(active_domain_.size() + fresh_individuals.size());
     auto from = active_domain_.begin();
-    for (int ind : new_individuals) {
+    for (int ind : fresh_individuals) {
       auto at = std::lower_bound(from, active_domain_.end(), ind);
       domain.insert(domain.end(), from, at);
       domain.push_back(ind);
       from = at;
     }
     domain.insert(domain.end(), from, active_domain_.end());
-    next->adom_ = adom_->Extend(new_individuals.data(), new_individuals.size(),
-                                &copied_rows);
+    next->adom_ = adom_->Extend(fresh_individuals.data(),
+                                fresh_individuals.size(), &copied_rows);
     if (next->adom_ == nullptr) refused = true;
   }
 
@@ -378,7 +357,6 @@ std::shared_ptr<const DataSnapshot> DataSnapshot::WithFacts(
     for (const auto& [id, fresh] : fresh_roles) {
       delta->role_rows.emplace(id, cells(fresh));
     }
-    delta->new_individuals = std::move(new_individuals);
   }
   span.Attr("version", static_cast<long>(next->version_));
   span.Attr("added", added);

@@ -104,25 +104,17 @@ class EdbRelation {
 };
 
 // The per-relation description of exactly which rows a WithFacts call
-// appended relative to its parent snapshot, keyed by external id.  Row data
-// is flat (concepts stride 1, roles stride 2) and already deduplicated
-// against both the batch and the parent, so a delta row is guaranteed new
-// at the version it describes.  `new_individuals` is the sorted set of
-// individuals that entered the active domain — the delta of the TOP/adom
-// relation, and (paired with itself) of the equality relation.
+// appended relative to its parent snapshot, keyed by external id — what a
+// durable store logs for the update.  Row data is flat (concepts stride 1,
+// roles stride 2) and already deduplicated against both the batch and the
+// parent, so a delta row is guaranteed new at the version it describes.
+// (Readers of the snapshot itself need no delta: a relation's rows new
+// since version v are its rows past v's count; see Rows::Extend.)
 struct SnapshotDelta {
   std::unordered_map<int, std::vector<int>> concept_rows;
   std::unordered_map<int, std::vector<int>> role_rows;
-  std::vector<int> new_individuals;
 
-  bool empty() const {
-    return concept_rows.empty() && role_rows.empty() &&
-           new_individuals.empty();
-  }
-  // Folds `other` (a later version's delta) into this one, so consecutive
-  // deltas compose into one version-range delta.  Rows stay disjoint
-  // because each delta only holds rows new at its own version.
-  void MergeFrom(const SnapshotDelta& other);
+  bool empty() const { return concept_rows.empty() && role_rows.empty(); }
 };
 
 // A batch of ABox additions for Engine::ApplyFacts, by vocabulary ids.

@@ -35,7 +35,6 @@ Engine::Engine(TBox normalized, std::shared_ptr<const DataSnapshot> snapshot,
       answer_cache_(options.answer_cache_capacity,
                     options.answer_cache_max_bytes, governor_.budget()),
       coalesce_(options.coalesce),
-      delta_log_capacity_(options.delta_log_capacity),
       store_(options.store) {}
 
 Engine::Engine(const TBox& tbox, const DataInstance& data,
@@ -364,21 +363,13 @@ bool Engine::ExecuteIncremental(const PreparedQuery& prepared,
     // version the result reports.
     *snap = snapshot();
   }
-  SnapshotDelta delta;
-  if (checkout.value.version > (*snap)->version() ||
-      !DeltaBetween(checkout.value.version, (*snap)->version(), &delta)) {
-    // Version gap (log trimmed, or still ahead after re-pin): the state is
-    // useless and its successor will be re-captured by the full run.
-    governor_.budget()->Release(checkout.charged_bytes);
-    return false;
-  }
 
   const GovernorOptions& gov = governor_.options();
   MemoryAccount account(governor_.budget(), gov.max_execution_memory_bytes);
   Evaluator eval(prepared.program(), *snap);
   eval.set_join_order_hints(prepared.join_order_hints());
   eval.set_memory_account(&account);
-  *result = eval.RunDelta(request, delta, &checkout.value);
+  *result = eval.RunDelta(request, &checkout.value);
   if (result->status.ok() && !result->partial && checkout.value.valid()) {
     incremental_.Put(prepared.cache_key(), std::move(checkout.value),
                      checkout.charged_bytes);
@@ -389,24 +380,6 @@ bool Engine::ExecuteIncremental(const PreparedQuery& prepared,
   // let the caller fall back to a full evaluation.
   governor_.budget()->Release(checkout.charged_bytes);
   return false;
-}
-
-bool Engine::DeltaBetween(uint64_t from, uint64_t to,
-                          SnapshotDelta* out) const {
-  if (from > to) return false;
-  if (from == to) return true;  // Empty delta: state is already current.
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  // Log versions are ascending and gap-free, so the range [from+1, to] maps
-  // to a contiguous run of entries when it is still resident.
-  if (delta_log_.empty() || delta_log_.front().version > from + 1 ||
-      delta_log_.back().version < to) {
-    return false;
-  }
-  size_t idx = static_cast<size_t>(from + 1 - delta_log_.front().version);
-  for (uint64_t v = from + 1; v <= to; ++v, ++idx) {
-    out->MergeFrom(delta_log_[idx].delta);
-  }
-  return true;
 }
 
 ExecuteResult Engine::Query(const ConjunctiveQuery& query,
@@ -452,21 +425,24 @@ Status Engine::ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
 
   uint64_t new_version;
   {
-    // One in-flight WithFacts at a time (monotone versions, gap-free delta
-    // log); the successor build runs with snapshot_mutex_ RELEASED, so
-    // Execute calls pin snapshots without waiting behind it.
+    // One in-flight WithFacts at a time (monotone versions, each extending
+    // its predecessor); the successor build runs with snapshot_mutex_
+    // RELEASED, so Execute calls pin snapshots without waiting behind it.
     std::lock_guard<std::mutex> apply_lock(apply_mutex_);
     std::shared_ptr<const DataSnapshot> parent;
     {
       std::lock_guard<std::mutex> lock(snapshot_mutex_);
       parent = snapshot_;
     }
+    // Only the store's log record reads the appended rows, so only a
+    // persisting apply asks WithFacts to copy them out.
+    const bool durable = persist && store_ != nullptr;
     SnapshotDelta delta;
     Status refused;
     std::shared_ptr<const DataSnapshot> next =
-        parent->WithFacts(batch, &delta, &refused);
+        parent->WithFacts(batch, durable ? &delta : nullptr, &refused);
     if (!refused.ok()) return refused;  // Still on the parent; nothing logged.
-    if (persist && store_ != nullptr && next != parent) {
+    if (durable && next != parent) {
       // Write-ahead: the delta (only the genuinely new rows, by name) must
       // be durable BEFORE the version is installed, so every version a
       // caller ever observes is recoverable.  On append failure the engine
@@ -492,13 +468,7 @@ Status Engine::ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
     }
     {
       std::lock_guard<std::mutex> lock(snapshot_mutex_);
-      if (next != parent) {
-        snapshot_ = next;
-        delta_log_.push_back({next->version(), std::move(delta)});
-        while (delta_log_.size() > delta_log_capacity_) {
-          delta_log_.pop_front();
-        }
-      }
+      if (next != parent) snapshot_ = next;
       // On the no-op path the parent snapshot (and version) stands.
       new_version = snapshot_->version();
     }
@@ -508,7 +478,7 @@ Status Engine::ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
       // hold budget until LRU eviction reaches them.
       answer_cache_.InvalidateBelow(new_version);
     }
-    if (persist && store_ != nullptr && store_->ShouldCompact()) {
+    if (durable && store_->ShouldCompact()) {
       // Inline compaction, still under apply_mutex_ (checkpoints must not
       // interleave with appends).  Failure is deliberately swallowed: the
       // version just acknowledged IS durable in the log; the store counts

@@ -27,7 +27,6 @@
 // discarded after construction.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -73,9 +72,6 @@ struct EngineOptions {
   // instead of burning an admission slot.  Semantics-preserving, so on by
   // default; works with or without the answer cache.
   bool coalesce = true;
-  // Entries retained in the per-version delta log that backs incremental
-  // execution; ranges trimmed past this force a full-evaluation fallback.
-  size_t delta_log_capacity = 64;
   // Durable backend (store/store.h).  Null = in-memory only (the default).
   // A store-backed engine must be created through Engine::Open, which runs
   // recovery; the plain constructor refuses a non-null store.
@@ -124,7 +120,7 @@ class Engine {
   // with a checkpoint of `data` (seed failure fails Open — facts must never
   // be acknowledged without a durable baseline); an existing store rebuilds
   // its base snapshot from the newest segment and replays the log tail
-  // through the normal ApplyFacts delta path, so restart cost is
+  // through the normal ApplyFacts path, so restart cost is
   // O(segment load + log tail), `data` is ignored, and the incremental /
   // answer caches see ordinary versioned updates.  Returns null iff
   // *status is non-OK.  `tables` with a store is unsupported
@@ -250,25 +246,16 @@ class Engine {
   // version is acknowledged iff it is durable — and a post-install
   // ShouldCompact triggers an inline checkpoint (failure counted, not
   // surfaced).  Recovery replays log records with persist=false: they are
-  // already durable.
+  // already durable, so WithFacts copies out no delta for them.
   Status ApplyFactsInternal(const FactBatch& batch, uint64_t* version,
                             bool persist);
 
-  // One recorded ApplyFacts step: the delta that took snapshot version
-  // `version - 1` to `version`.
-  struct DeltaLogEntry {
-    uint64_t version = 0;
-    SnapshotDelta delta;
-  };
-
-  // Composes the deltas taking version `from` to version `to` into `out`.
-  // False when the range has been trimmed out of the bounded log (the
-  // caller must fall back to full evaluation).
-  bool DeltaBetween(uint64_t from, uint64_t to, SnapshotDelta* out) const;
   // The incremental Execute path: take the retained state, catch it up via
-  // RunDelta, put it back.  False (with its charge released) on any
-  // miss / version gap / abort, in which case the caller runs the full
-  // path.  May re-pin `*snap` forward if the retained state is newer.
+  // RunDelta (which reads the rows appended since the state's version
+  // straight from the snapshot's relation stores), put it back.  False
+  // (with its charge released) on a miss or an abort, in which case the
+  // caller runs the full path.  May re-pin `*snap` forward if the retained
+  // state is newer.
   bool ExecuteIncremental(const PreparedQuery& prepared,
                           const ExecuteRequest& request,
                           std::shared_ptr<const DataSnapshot>* snap,
@@ -282,7 +269,7 @@ class Engine {
                                 std::shared_ptr<const DataSnapshot> snap,
                                 ScopedSpan* span) const;
 
-  // White-box access for tests (delta-log edge cases, incremental re-pin).
+  // White-box access for tests (incremental re-pin, in-flight table).
   friend class EngineTestPeer;
 
   TBox tbox_;  // Engine's own normalized copy.
@@ -299,16 +286,12 @@ class Engine {
   // concurrent cache-miss rewrite's word-table growth.
   mutable std::shared_mutex ctx_mutex_;
   // Serializes the build phase of ApplyFacts (one in-flight WithFacts at a
-  // time keeps versions monotone and the delta log gap-free) without
-  // blocking snapshot readers, who only ever take snapshot_mutex_.
+  // time keeps versions monotone, each extending its predecessor's
+  // relation stores) without blocking snapshot readers, who only ever take
+  // snapshot_mutex_.
   std::mutex apply_mutex_;
-  mutable std::mutex snapshot_mutex_;  // Guards snapshot_ and delta_log_.
+  mutable std::mutex snapshot_mutex_;  // Guards snapshot_.
   std::shared_ptr<const DataSnapshot> snapshot_;
-  // Recent per-version deltas, ascending and gap-free in version (every
-  // non-no-op ApplyFacts appends exactly one entry), trimmed from the front
-  // at a fixed cap.  Incremental executions replay the range between their
-  // retained state's version and the pinned snapshot's.
-  std::deque<DeltaLogEntry> delta_log_;
   // Mutable because Execute is const (it mutates no engine-visible state;
   // the governor's slots/counters are bookkeeping).
   mutable QueryGovernor governor_;
@@ -323,7 +306,6 @@ class Engine {
   mutable AnswerCache answer_cache_;
   mutable InFlightTable inflight_;
   const bool coalesce_;
-  const size_t delta_log_capacity_;
   // Durable backend; appends/checkpoints run under apply_mutex_, reads of
   // its counters are internally synchronized.  Null = in-memory engine.
   const std::shared_ptr<store::Store> store_;

@@ -1457,7 +1457,7 @@ size_t ExecuteResult::MemoryBytes() const {
 }
 
 size_t RetainedIdbState::MemoryBytes() const {
-  size_t bytes = 0;
+  size_t bytes = edb_rows.capacity() * sizeof(size_t);
   for (const Rows& rows : idb_rows) bytes += rows.MemoryBytes();
   for (const auto& slot_map : slots) {
     for (const auto& [mask, slot] : slot_map) {
@@ -1479,21 +1479,79 @@ void Evaluator::ExtractRetainedState(RetainedIdbState* state) {
     state->idb_rows[p] = std::move(preds_[p]->rows);
     state->slots[p] = std::move(preds_[p]->slots);
   }
+  state->edb_rows.assign(n, 0);
+  for (int p = 0; p < n; ++p) {
+    if (snapshot_rel_[p] != nullptr) {
+      state->edb_rows[p] = snapshot_rel_[p]->rows().size();
+    }
+  }
+  state->adom_rows = snapshot_->adom().rows().size();
   state->version = snapshot_->version();
 }
 
 ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
-                                  const SnapshotDelta& delta,
                                   RetainedIdbState* state) {
   OWLQR_CHECK_MSG(program_.goal() >= 0, "program has no goal predicate");
   const int n = program_.num_predicates();
   OWLQR_CHECK_MSG(
       state->valid() && static_cast<int>(state->idb_rows.size()) == n &&
-          static_cast<int>(state->slots.size()) == n,
+          static_cast<int>(state->slots.size()) == n &&
+          static_cast<int>(state->edb_rows.size()) == n,
       "retained state missing or sized for a different program");
 
   OWLQR_NAMED_SPAN(span, "evaluate/delta");
   StartClock(request);
+
+  // Seed the per-predicate delta relations: each concept/role relation's
+  // rows past the count the state captured, plus adom/equality deltas over
+  // the individuals that entered the active domain — a clause constant can
+  // newly satisfy an adom or equality atom, so those atoms must be drivable
+  // too.  Every version of a relation extends the one the state saw
+  // (Rows::Extend), so those rows are exactly the appended ones.  Read
+  // before the adoption below clears `state`.  IDB deltas start empty and
+  // fill as the propagation emits.
+  const Rows& adom = snapshot_->adom().rows();
+  OWLQR_CHECK_MSG(state->adom_rows <= adom.size(),
+                  "retained state captured on a different snapshot chain");
+  std::vector<Rows> delta_rows(n);
+  std::vector<size_t> delta_charged(n, 0);
+  size_t seed_rows = 0;
+  for (int p = 0; p < n; ++p) {
+    const PredicateInfo& info = program_.predicate(p);
+    Rows& seeds = delta_rows[p];
+    seeds.arity = info.arity;
+    seeds.materialized = true;
+    switch (info.kind) {
+      case PredicateKind::kConceptEdb:
+      case PredicateKind::kRoleEdb: {
+        if (snapshot_rel_[p] == nullptr) break;
+        const Rows& rows = snapshot_rel_[p]->rows();
+        OWLQR_CHECK_MSG(
+            state->edb_rows[p] <= rows.size(),
+            "retained state captured on a different snapshot chain");
+        for (size_t r = state->edb_rows[p]; r < rows.size(); ++r) {
+          seeds.Insert(rows.row(r));
+        }
+        break;
+      }
+      case PredicateKind::kAdom:
+        for (size_t r = state->adom_rows; r < adom.size(); ++r) {
+          seeds.Insert(adom.row(r));
+        }
+        break;
+      case PredicateKind::kEquality:
+        for (size_t r = state->adom_rows; r < adom.size(); ++r) {
+          int pair[2] = {adom.row(r)[0], adom.row(r)[0]};
+          seeds.Insert(pair);
+        }
+        break;
+      default:
+        break;  // IDB (fills below) or table EDB (immutable, never deltas).
+    }
+    seed_rows += seeds.size();
+    delta_charged[p] = seeds.MemoryBytes();
+    ChargeMemory(delta_charged[p]);
+  }
 
   // Adopt the retained extensions: they become this evaluator's IDB
   // relations, warm probe indexes included.  Their bytes stay charged to
@@ -1505,54 +1563,6 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
     preds_[p]->slots = std::move(state->slots[p]);
   }
   state->Clear();
-
-  // Seed the per-predicate delta relations: the appended EDB rows by
-  // external id, plus synthetic adom/equality deltas over the individuals
-  // that newly entered the active domain — a clause constant can newly
-  // satisfy an adom or equality atom, so those atoms must be drivable too.
-  // IDB deltas start empty and fill as the propagation emits.
-  std::vector<Rows> delta_rows(n);
-  std::vector<size_t> delta_charged(n, 0);
-  size_t seed_rows = 0;
-  for (int p = 0; p < n; ++p) {
-    const PredicateInfo& info = program_.predicate(p);
-    Rows& seeds = delta_rows[p];
-    seeds.arity = info.arity;
-    seeds.materialized = true;
-    switch (info.kind) {
-      case PredicateKind::kConceptEdb: {
-        auto it = delta.concept_rows.find(info.external_id);
-        if (it != delta.concept_rows.end()) {
-          for (int a : it->second) seeds.Insert(&a);
-        }
-        break;
-      }
-      case PredicateKind::kRoleEdb: {
-        auto it = delta.role_rows.find(info.external_id);
-        if (it != delta.role_rows.end()) {
-          const std::vector<int>& cells = it->second;
-          for (size_t i = 0; i + 1 < cells.size(); i += 2) {
-            seeds.Insert(&cells[i]);
-          }
-        }
-        break;
-      }
-      case PredicateKind::kAdom:
-        for (int a : delta.new_individuals) seeds.Insert(&a);
-        break;
-      case PredicateKind::kEquality:
-        for (int a : delta.new_individuals) {
-          int pair[2] = {a, a};
-          seeds.Insert(pair);
-        }
-        break;
-      default:
-        break;  // IDB (fills below) or table EDB (immutable, never deltas).
-    }
-    seed_rows += seeds.size();
-    delta_charged[p] = seeds.MemoryBytes();
-    ChargeMemory(delta_charged[p]);
-  }
 
   // Semi-naive propagation over the cached dependency DAG: for each
   // materialised IDB predicate in topological order, re-join every clause

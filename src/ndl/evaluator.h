@@ -187,19 +187,28 @@ struct JoinOrderHints {
 // out of the evaluator that produced it; empty vectors for non-IDB ids) and
 // `slots[p]` its locally built probe indexes, which stay valid as long as
 // the rows do (RunDelta discards the slots of any predicate its delta
-// grows).  version == 0 marks the state invalid/empty.  Owned and
-// memory-accounted by the engine's retained-state cache; an Evaluator only
-// ever borrows it for the duration of one RunDelta.
+// grows).  `edb_rows[p]` is the row count at `version` of the snapshot
+// relation predicate p reads (0 where there is none) and `adom_rows` the
+// TOP relation's: every later version of a relation is an append-only
+// extension of it (Rows::Extend), so the rows past these counts are
+// exactly the rows new since `version`.  version == 0 marks the state
+// invalid/empty.  Owned and memory-accounted by the engine's retained-state
+// cache; an Evaluator only ever borrows it for the duration of one
+// RunDelta.
 struct RetainedIdbState {
   uint64_t version = 0;
   std::vector<Rows> idb_rows;
   std::vector<std::unordered_map<unsigned, std::unique_ptr<IndexSlot>>> slots;
+  std::vector<size_t> edb_rows;
+  size_t adom_rows = 0;
 
   bool valid() const { return version != 0; }
   void Clear() {
     version = 0;
     idb_rows.clear();
     slots.clear();
+    edb_rows.clear();
+    adom_rows = 0;
   }
   // Heap bytes held: rows arenas + dedup tables + retained probe indexes
   // (what the engine charges against its memory budget for keeping this).
@@ -273,9 +282,10 @@ class Evaluator {
 
   // The semi-naive delta path.  Adopts the retained IDB extensions out of
   // `state` (which must hold the exact materialisation of this program at
-  // the parent version), seeds round 0 with only `delta`'s appended EDB
-  // rows — plus synthetic adom/equality delta rows for individuals that
-  // newly entered the active domain — and propagates through the cached
+  // an earlier version of this snapshot's chain), seeds round 0 with only
+  // the EDB rows appended since — each relation's rows past the count
+  // `state` captured, plus adom/equality delta rows for the individuals
+  // that entered the active domain — and propagates through the cached
   // dependency DAG in topological order:
   // each clause with a non-empty delta body atom is re-joined driven by
   // that delta (all other atoms against the full new extensions, probing
@@ -290,13 +300,13 @@ class Evaluator {
   // caller must fall back to full re-evaluation.  Always sequential: a
   // delta is small, so DAG-scheduler fan-out would only add overhead.
   ExecuteResult RunDelta(const ExecuteRequest& request,
-                         const SnapshotDelta& delta, RetainedIdbState* state);
+                         RetainedIdbState* state);
 
   // Moves the materialised IDB extensions (and their locally built probe
   // indexes) out of this evaluator into `state`, stamped with the
-  // snapshot's version.  Only meaningful after a complete, un-aborted,
-  // unlimited evaluation — the caller guards that; the evaluator must not
-  // be used again afterwards.
+  // snapshot's version and its EDB/adom row counts.  Only meaningful after
+  // a complete, un-aborted, unlimited evaluation — the caller guards that;
+  // the evaluator must not be used again afterwards.
   void ExtractRetainedState(RetainedIdbState* state);
 
  private:

@@ -20,6 +20,7 @@
 #include "engine/engine.h"
 #include "engine_test_peer.h"
 #include "ndl/evaluator.h"
+#include "syntax/parser.h"
 #include "workloads/paper_workloads.h"
 
 namespace owlqr {
@@ -334,84 +335,123 @@ TEST_F(EngineIncrementalTest, DuplicateAndEmptyBatchesAreNoOps) {
   EXPECT_EQ(engine.snapshot(), after);
 }
 
-// DeltaBetween's range edges, pinned white-box: from == to is the trivial
-// empty delta (even for a version the log never held); a range whose first
-// needed entry is exactly `delta_log_.front()` still composes after
-// trimming; one version older has fallen off and must miss; backwards
-// ranges never compose.
-TEST_F(EngineIncrementalTest, DeltaBetweenHandlesRangeEdgesAndTrimming) {
-  EngineOptions engine_options;
-  engine_options.delta_log_capacity = 2;
-  Engine engine(*tbox_, *base_, nullptr, engine_options);
-  int r_id = vocab_.InternPredicate("R");
-  auto bump = [&](int tag) {
+// No cap on how far behind a retained state may fall: a state captured 100
+// versions ago catches up in one delta run that reads every row appended
+// since from the relation stores, answering exactly as a full evaluation
+// at that version with strictly less join work.  The base is larger than
+// the fixture's, so 100 small batches stay a small delta.
+TEST_F(EngineIncrementalTest, HundredVersionsBehindCatchesUpIncrementally) {
+  constexpr int kBatches = 100;
+  const DataInstance base = GenerateDataset(
+      &vocab_, *tbox_, DatasetConfig{"behind", 200, 0.02, 0.05, 7});
+  Engine engine(*tbox_, base);
+  PrepareResult p = engine.Prepare(queries_[2], prepare_options_);
+  ASSERT_TRUE(p.ok()) << p.status.ToString();
+  ExecuteRequest incremental;
+  incremental.incremental = true;
+  ExecuteResult seed = engine.Execute(*p.query, incremental);
+  ASSERT_TRUE(seed.status.ok()) << seed.status.ToString();
+  ASSERT_EQ(engine.incremental_state_size(), 1u);
+
+  // Half the batches add an R edge between existing individuals, half
+  // bring new individuals, so both the role stores and the active domain
+  // grow.  Every batch is new, so each one is a version.
+  const std::vector<int> adom = engine.snapshot()->active_domain();
+  const int r_id = vocab_.InternPredicate("R");
+  const int s_id = vocab_.InternPredicate("S");
+  DataInstance grown = base;
+  size_t next_pair = 0;
+  for (int b = 0; b < kBatches; ++b) {
     FactBatch batch;
-    batch.roles.push_back(
-        {r_id, vocab_.InternIndividual("dl" + std::to_string(tag) + "a"),
-         vocab_.InternIndividual("dl" + std::to_string(tag) + "b")});
-    return MustApply(engine, batch);
-  };
+    if (b % 2 == 0) {
+      int pair[2];
+      do {
+        pair[0] = adom[next_pair % adom.size()];
+        pair[1] = adom[next_pair / adom.size() % adom.size()];
+        ++next_pair;
+      } while (engine.snapshot()->Role(r_id)->rows().Contains(pair));
+      batch.roles.push_back({r_id, pair[0], pair[1]});
+    } else {
+      const std::string prefix = "behind" + std::to_string(b) + "_";
+      const int x = vocab_.InternIndividual(prefix + "x");
+      const int y = vocab_.InternIndividual(prefix + "y");
+      batch.roles.push_back({r_id, adom[0], x});
+      batch.roles.push_back({s_id, x, y});
+    }
+    ApplyBatchToInstance(&grown, batch);
+    ASSERT_EQ(MustApply(engine, batch), seed.snapshot_version + b + 1);
+  }
+  const uint64_t version = seed.snapshot_version + kBatches;
 
-  SnapshotDelta identity;
-  EXPECT_TRUE(EngineTestPeer::DeltaBetween(engine, 1, 1, &identity));
-  EXPECT_TRUE(identity.empty());
-  // from == to does not consult the log at all, so it holds even for
-  // versions the engine has never seen.
-  EXPECT_TRUE(EngineTestPeer::DeltaBetween(engine, 9, 9, &identity));
-  EXPECT_TRUE(identity.empty());
-
-  ASSERT_EQ(bump(0), 2u);
-  ASSERT_EQ(bump(1), 3u);
-  ASSERT_EQ(bump(2), 4u);  // Capacity 2: only the v3 and v4 entries survive.
-  EXPECT_EQ(EngineTestPeer::DeltaLogSize(engine), 2u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogFrontVersion(engine), 3u);
-
-  // [2 -> 4] needs entries {3, 4} — exactly the surviving run, starting at
-  // the log's front.
-  SnapshotDelta at_front;
-  EXPECT_TRUE(EngineTestPeer::DeltaBetween(engine, 2, 4, &at_front));
-  EXPECT_FALSE(at_front.empty());
-  // Each bump introduced two fresh individuals; both trimmed-in deltas
-  // contribute theirs.
-  EXPECT_EQ(at_front.new_individuals.size(), 4u);
-
-  // [1 -> 4] additionally needs the trimmed v2 entry: a clean miss, with
-  // the output left untouched for the caller to discard.
-  SnapshotDelta trimmed;
-  EXPECT_FALSE(EngineTestPeer::DeltaBetween(engine, 1, 4, &trimmed));
-  // Backwards ranges never compose (a retained state ahead of the target
-  // version is the caller's re-pin problem, not a merge problem).
-  SnapshotDelta backwards;
-  EXPECT_FALSE(EngineTestPeer::DeltaBetween(engine, 4, 3, &backwards));
-  // And from == to stays trivially true at the current version.
-  SnapshotDelta current;
-  EXPECT_TRUE(EngineTestPeer::DeltaBetween(engine, 4, 4, &current));
-  EXPECT_TRUE(current.empty());
+  ExecuteResult delta = engine.Execute(*p.query, incremental);
+  ExecuteResult full = engine.Execute(*p.query);
+  ASSERT_TRUE(delta.status.ok()) << delta.status.ToString();
+  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+  EXPECT_TRUE(delta.incremental);
+  EXPECT_FALSE(full.incremental);
+  EXPECT_EQ(delta.snapshot_version, version);
+  EXPECT_EQ(full.snapshot_version, version);
+  EXPECT_NE(full.answers, seed.answers);
+  EXPECT_EQ(delta.answers, full.answers);
+  EXPECT_EQ(delta.answers, Oracle(grown, 2));
+  EXPECT_LT(delta.stats.join_emissions, full.stats.join_emissions);
 }
 
-// A no-op ApplyFacts (verbatim duplicate or empty batch) must not append a
-// delta-log entry: the log's versions are assumed ascending and gap-free by
-// DeltaBetween's indexing, and a phantom empty entry would also evict a
-// real one once the log is at capacity.
-TEST_F(EngineIncrementalTest, NoOpApplyFactsAppendsNoDeltaLogEntry) {
+// Re-executing at the version the retained state already holds is a delta
+// run over nothing: it is served incrementally and joins no tuple.
+TEST_F(EngineIncrementalTest, UnchangedVersionReExecuteJoinsNothing) {
   Engine engine(*tbox_, *base_);
-  EXPECT_EQ(EngineTestPeer::DeltaLogSize(engine), 0u);
+  PrepareResult p = engine.Prepare(queries_[1], prepare_options_);
+  ASSERT_TRUE(p.ok()) << p.status.ToString();
+  ExecuteRequest incremental;
+  incremental.incremental = true;
+  ExecuteResult seed = engine.Execute(*p.query, incremental);
+  ASSERT_TRUE(seed.status.ok()) << seed.status.ToString();
+  ASSERT_FALSE(seed.incremental);
+  ASSERT_GT(seed.stats.join_emissions, 0);
 
-  int r_id = vocab_.InternPredicate("R");
+  ExecuteResult again = engine.Execute(*p.query, incremental);
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_TRUE(again.incremental);
+  EXPECT_EQ(again.snapshot_version, seed.snapshot_version);
+  EXPECT_EQ(again.stats.join_emissions, 0);
+  EXPECT_EQ(again.answers, seed.answers);
+}
+
+// An individual can enter the answers through a TOP atom alone: under
+// `TOP SUB EX R` every individual has an R-successor.  The rewriting
+// spells TOP out over the predicates the vocabulary knew at prepare time,
+// so a fact over a role interned later reaches the plan only through the
+// active domain, and only the adom delta can drive that clause.
+TEST_F(EngineIncrementalTest, NewIndividualReachesTopAtomsThroughAdomDelta) {
+  Vocabulary vocab;
+  TBox tbox(&vocab);
+  DataInstance data(&vocab);
+  std::string error;
+  ASSERT_TRUE(ParseTBox("TOP SUB EX R\n", &tbox, &error)) << error;
+  ASSERT_TRUE(ParseData("R(a, b).\n", &data, &error)) << error;
+  auto query = ParseQuery("q(x) :- R(x, y)", &vocab, &error);
+  ASSERT_TRUE(query.has_value()) << error;
+  Engine engine(tbox, data);
+  PrepareResult p = engine.Prepare(*query);
+  ASSERT_TRUE(p.ok()) << p.status.ToString();
+  ExecuteRequest incremental;
+  incremental.incremental = true;
+  ExecuteResult seed = engine.Execute(*p.query, incremental);
+  ASSERT_TRUE(seed.status.ok()) << seed.status.ToString();
+  ASSERT_EQ(seed.answers.size(), 2u);
+
   FactBatch batch;
-  batch.roles.push_back({r_id, vocab_.InternIndividual("nolog_a"),
-                         vocab_.InternIndividual("nolog_b")});
-  ASSERT_EQ(MustApply(engine, batch), 2u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogSize(engine), 1u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogFrontVersion(engine), 2u);
-
-  // Verbatim duplicate: version preserved, log untouched.
-  ASSERT_EQ(MustApply(engine, batch), 2u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogSize(engine), 1u);
-  // Empty batch: likewise.
-  ASSERT_EQ(MustApply(engine, FactBatch{}), 2u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogSize(engine), 1u);
-  EXPECT_EQ(EngineTestPeer::DeltaLogFrontVersion(engine), 2u);
+  batch.roles.push_back({vocab.InternPredicate("Later"),
+                         vocab.InternIndividual("c"),
+                         vocab.InternIndividual("d")});
+  MustApply(engine, batch);
+  ExecuteResult delta = engine.Execute(*p.query, incremental);
+  ExecuteResult full = engine.Execute(*p.query);
+  ASSERT_TRUE(delta.status.ok()) << delta.status.ToString();
+  EXPECT_TRUE(delta.incremental);
+  EXPECT_EQ(full.answers.size(), 4u);
+  EXPECT_EQ(delta.answers, full.answers);
 }
 
 // The incremental path's forward re-pin: when the retained state was

@@ -2,14 +2,11 @@
 #define OWLQR_TESTS_ENGINE_TEST_PEER_H_
 
 // White-box access to Engine internals for tests that pin down behaviour
-// the public surface deliberately hides: delta-log range composition and
-// trimming, the incremental path's forward re-pin, and the in-flight
-// coalescing table.  Defined ONCE here (Engine befriends exactly this
-// class) so every test TU shares one definition.
+// the public surface deliberately hides: the incremental path's forward
+// re-pin and the in-flight coalescing table.  Defined ONCE here (Engine
+// befriends exactly this class) so every test TU shares one definition.
 
-#include <cstdint>
 #include <memory>
-#include <mutex>
 
 #include "engine/engine.h"
 
@@ -17,21 +14,6 @@ namespace owlqr {
 
 class EngineTestPeer {
  public:
-  static bool DeltaBetween(const Engine& engine, uint64_t from, uint64_t to,
-                           SnapshotDelta* out) {
-    return engine.DeltaBetween(from, to, out);
-  }
-
-  static size_t DeltaLogSize(const Engine& engine) {
-    std::lock_guard<std::mutex> lock(engine.snapshot_mutex_);
-    return engine.delta_log_.size();
-  }
-
-  static uint64_t DeltaLogFrontVersion(const Engine& engine) {
-    std::lock_guard<std::mutex> lock(engine.snapshot_mutex_);
-    return engine.delta_log_.empty() ? 0 : engine.delta_log_.front().version;
-  }
-
   static bool ExecuteIncremental(const Engine& engine,
                                  const PreparedQuery& prepared,
                                  const ExecuteRequest& request,

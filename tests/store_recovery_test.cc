@@ -12,7 +12,8 @@
 //    must refuse (field-naming Status) rather than serve corrupt columns;
 //  - the recovery state machine's edges: a LOG with no CURRENT is data
 //    loss, a fingerprint mismatch is refused, a fully-cold recovery
-//    (store_resident_bytes = 1) still answers exactly;
+//    (store_resident_bytes = 1) still answers exactly, incremental
+//    catch-up included;
 //  - replaying the log tail copies no relation (O(record), not O(|A|));
 //  - the store's counters are live: each durable batch is one appended log
 //    record, a reopen replays exactly those records, and executions never
@@ -555,6 +556,66 @@ TEST(StoreRecoveryTest, FullyColdRecoveryFaultsColumnsInExactly) {
                   .ok());
   EXPECT_EQ(version, 5u);
   EXPECT_EQ(AnswerNames(&reopened, kQueryB), OracleNames(4, kQueryB));
+}
+
+// Incremental catch-up over a fully cold recovery: the delta run reads the
+// rows appended since its retained state straight from the relations, so
+// it must stay exact whether the batch lands on a column that is still
+// cold (the apply faults it in) or on one the query already faulted in.
+TEST(StoreRecoveryTest, IncrementalCatchUpOverColdColumns) {
+  const std::string dir = MakeTempDir("store_cold_incremental");
+  BuildStore(dir, 3);
+  {
+    Instance compactor = OpenInstance(dir);
+    ASSERT_NE(compactor.engine, nullptr) << compactor.open_status.ToString();
+    ASSERT_TRUE(compactor.engine->Checkpoint().ok());
+  }
+  Instance reopened = OpenInstance(dir, /*resident_bytes=*/1);
+  ASSERT_NE(reopened.engine, nullptr) << reopened.open_status.ToString();
+  Engine& engine = *reopened.engine;
+  Vocabulary* vocab = reopened.vocab.get();
+
+  std::string error;
+  auto query = ParseQuery(kQueryB, vocab, &error);
+  ASSERT_TRUE(query.has_value()) << error;
+  PrepareResult prepared = engine.Prepare(*query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+  ExecuteRequest incremental;
+  incremental.incremental = true;
+  ExecuteResult seed = engine.Execute(*prepared.query, incremental);
+  ASSERT_TRUE(seed.status.ok()) << seed.status.ToString();
+  ASSERT_FALSE(seed.incremental);
+
+  // The segment holds two columns, A and R.  B's rewriting reads only A,
+  // which the seed run faulted in; R stays cold.
+  const int a_id = vocab->InternConcept("A");
+  const int r_id = vocab->InternPredicate("R");
+  ASSERT_EQ(engine.snapshot()->ResidentColumns(), 1u);
+  ASSERT_EQ(engine.snapshot()->ColdColumns(), 1u);
+
+  auto expect_incremental_matches_full = [&](const FactBatch& batch) {
+    uint64_t version = 0;
+    ASSERT_TRUE(engine.ApplyFactsOrError(batch, &version).ok());
+    ExecuteResult delta = engine.Execute(*prepared.query, incremental);
+    ExecuteResult full = engine.Execute(*prepared.query);
+    ASSERT_TRUE(delta.status.ok()) << delta.status.ToString();
+    ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+    EXPECT_TRUE(delta.incremental);
+    EXPECT_EQ(delta.snapshot_version, version);
+    EXPECT_EQ(full.snapshot_version, version);
+    EXPECT_EQ(delta.answers, full.answers);
+  };
+
+  FactBatch cold_role;
+  cold_role.roles.push_back({r_id, vocab->InternIndividual("ind0_0"),
+                             vocab->InternIndividual("cold_r")});
+  expect_incremental_matches_full(cold_role);
+
+  FactBatch faulted_concept;
+  faulted_concept.concepts.push_back(
+      {a_id, vocab->InternIndividual("warm_a")});
+  expect_incremental_matches_full(faulted_concept);
+  EXPECT_NE(engine.Execute(*prepared.query).answers, seed.answers);
 }
 
 }  // namespace
