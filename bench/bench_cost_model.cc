@@ -9,6 +9,7 @@
 #include "core/cost_model.h"
 #include "ndl/evaluator.h"
 #include "util/logging.h"
+#include <memory>
 #include <utility>
 
 namespace owlqr {
@@ -29,20 +30,19 @@ void BM_CostModel(benchmark::State& state) {
   NdlProgram program = std::move(program_rw.program);
 
   auto configs = Table2Configs(DatasetScale());
-  DataInstance data = GenerateDataset(&s.vocab, *s.tbox, configs[1]);
-  DataStatistics stats = DataStatistics::FromInstance(data);
-  double estimated = EstimateEvaluationCost(program, stats);
+  std::shared_ptr<const DataSnapshot> snapshot = DataSnapshot::FromInstance(
+      GenerateDataset(&s.vocab, *s.tbox, configs[1]));
+  double estimated = EstimateEvaluationCost(program, *snapshot);
 
   RewriterKind chosen;
-  CostBasedRewrite(s.ctx.get(), query, stats, options, &chosen);
+  CostBasedRewrite(s.ctx.get(), query, *snapshot, options, &chosen);
 
   EvaluationStats measured;
   ExecuteRequest request;
   request.limits.max_generated_tuples = TupleBudget();
   request.limits.max_work = 20 * TupleBudget();
   for (auto _ : state) {
-    ExecuteResult result =
-        Evaluator(program, DataSnapshot::FromInstance(data)).Run(request);
+    ExecuteResult result = Evaluator(program, snapshot).Run(request);
     benchmark::DoNotOptimize(result.answers);
     measured = result.stats;
   }

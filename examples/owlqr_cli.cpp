@@ -11,9 +11,9 @@
 //
 // Flags:
 //   --rewriter=KIND    lin | log | tw | twstar | ucq | presto | auto
-//                      (default auto; auto picks by the paper's Figure 1
-//                      classes and, when data is given, by the Section 6
-//                      cost model)
+//                      (default auto: the Section 6 cost model picks the
+//                      cheapest rewriter the OMQ's Figure 1 class admits,
+//                      estimated over the data; UCQ when none applies)
 //   --threads=N        evaluate with N worker threads (default 1)
 //   --incremental      maintain answers incrementally across '+' fact
 //                      lines in --repl: a repeated query re-uses its
@@ -83,7 +83,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/cost_model.h"
 #include "core/omq.h"
 #include "core/rewriters.h"
 #include "engine/engine.h"
@@ -604,20 +603,8 @@ int main(int argc, char** argv) {
     status = RunRepl(&engine, prepare_options, request, print_rewriting,
                      print_sql);
   } else {
-    OmqProfile profile = ProfileOmq(engine.context(), *query);
-    std::fprintf(stderr, "profile: %s\n", profile.ToString().c_str());
-    // The cost model refines auto-selection when statistics are available
-    // and more than one optimal rewriter applies.
-    if (prepare_options.auto_kind && have_data && profile.tree_shaped &&
-        profile.finite_depth()) {
-      DataStatistics stats = DataStatistics::FromInstance(data);
-      RewritingContext cost_ctx(engine.tbox());
-      RewriterKind chosen;
-      CostBasedRewrite(&cost_ctx, *query, stats, prepare_options.rewrite,
-                       &chosen);
-      prepare_options.auto_kind = false;
-      prepare_options.kind = chosen;
-    }
+    std::fprintf(stderr, "profile: %s\n",
+                 ProfileOmq(engine.context(), *query).ToString().c_str());
     if (!ServeQuery(&engine, *query, prepare_options, request,
                     print_rewriting, print_sql, /*evaluate=*/have_data)) {
       status = 1;

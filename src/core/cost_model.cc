@@ -3,41 +3,45 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-
-#include "cq/gaifman.h"
-#include "util/logging.h"
+#include <optional>
+#include <utility>
+#include <vector>
 
 namespace owlqr {
 
-DataStatistics DataStatistics::FromInstance(const DataInstance& data) {
-  DataStatistics stats;
-  stats.num_individuals = data.num_individuals();
-  for (int c : data.ActiveConcepts()) {
-    stats.concept_cardinality[c] =
-        static_cast<long>(data.ConceptMembers(c).size());
-  }
-  for (int p : data.ActivePredicates()) {
-    stats.predicate_cardinality[p] =
-        static_cast<long>(data.RolePairs(p).size());
-  }
-  return stats;
-}
-
-long DataStatistics::ConceptCount(int concept_id) const {
-  auto it = concept_cardinality.find(concept_id);
-  return it == concept_cardinality.end() ? 0 : it->second;
-}
-
-long DataStatistics::PredicateCount(int predicate_id) const {
-  auto it = predicate_cardinality.find(predicate_id);
-  return it == predicate_cardinality.end() ? 0 : it->second;
-}
-
 double EstimateEvaluationCost(const NdlProgram& program,
-                              const DataStatistics& stats) {
+                              const DataSnapshot& snapshot) {
   constexpr double kCap = 1e18;
-  double adom = std::max<long>(1, stats.num_individuals);
+  const double adom =
+      std::max<double>(1, static_cast<double>(snapshot.active_domain().size()));
+  // Each predicate's estimated extension.  EDB sizes are resolved once per
+  // predicate up front, as Evaluator::Init resolves its relations; IDB
+  // sizes are filled in bottom-up below.
   std::vector<double> estimate(program.num_predicates(), 0.0);
+  for (int p = 0; p < program.num_predicates(); ++p) {
+    const PredicateInfo& info = program.predicate(p);
+    const EdbRelation* relation = nullptr;
+    switch (info.kind) {
+      case PredicateKind::kConceptEdb:
+        relation = snapshot.Concept(info.external_id);
+        break;
+      case PredicateKind::kRoleEdb:
+        relation = snapshot.Role(info.external_id);
+        break;
+      case PredicateKind::kTableEdb:
+        // Mapping-layer tables are not part of the OMQ cost model;
+        // treat them like base relations of unknown (domain) size.
+      case PredicateKind::kEquality:
+      case PredicateKind::kAdom:
+        estimate[p] = adom;
+        continue;
+      case PredicateKind::kIdb:
+        continue;
+    }
+    if (relation != nullptr) {
+      estimate[p] = static_cast<double>(relation->rows().size());
+    }
+  }
 
   for (int p : program.TopologicalOrder()) {
     double total = 0;
@@ -46,28 +50,7 @@ double EstimateEvaluationCost(const NdlProgram& program,
       double product = 1.0;
       std::map<int, int> occurrences;
       for (const NdlAtom& atom : clause.body) {
-        const PredicateInfo& info = program.predicate(atom.predicate);
-        double card = 0;
-        switch (info.kind) {
-          case PredicateKind::kConceptEdb:
-            card = static_cast<double>(stats.ConceptCount(info.external_id));
-            break;
-          case PredicateKind::kRoleEdb:
-            card =
-                static_cast<double>(stats.PredicateCount(info.external_id));
-            break;
-          case PredicateKind::kTableEdb:
-            // Mapping-layer tables are not part of the OMQ cost model;
-            // treat them like base relations of unknown (domain) size.
-          case PredicateKind::kEquality:
-          case PredicateKind::kAdom:
-            card = adom;
-            break;
-          case PredicateKind::kIdb:
-            card = estimate[atom.predicate];
-            break;
-        }
-        product = std::min(kCap, product * std::max(card, 0.0));
+        product = std::min(kCap, product * estimate[atom.predicate]);
         for (const Term& t : atom.args) {
           if (!t.is_constant) ++occurrences[t.value];
         }
@@ -108,41 +91,29 @@ double EstimateEvaluationCost(const NdlProgram& program,
   return cost;
 }
 
-NdlProgram CostBasedRewrite(RewritingContext* ctx,
-                            const ConjunctiveQuery& query,
-                            const DataStatistics& stats,
-                            const RewriteOptions& options,
-                            RewriterKind* chosen) {
-  GaifmanGraph graph(query);
-  bool tree = graph.IsTree();
-  bool finite = ctx->depth() != WordGraph::kInfiniteDepth;
-  std::vector<RewriterKind> candidates;
-  if (finite && tree) candidates.push_back(RewriterKind::kLin);
-  if (finite) candidates.push_back(RewriterKind::kLog);
-  if (tree) {
-    candidates.push_back(RewriterKind::kTw);
-    candidates.push_back(RewriterKind::kTwStar);
-  }
-  OWLQR_CHECK_MSG(!candidates.empty(),
-                  "no optimal rewriter applies (cyclic CQ, infinite depth)");
-
+RewriteResult CostBasedRewrite(RewritingContext* ctx,
+                               const ConjunctiveQuery& query,
+                               const DataSnapshot& snapshot,
+                               const RewriteOptions& options,
+                               RewriterKind* chosen) {
+  std::optional<RewriteResult> best;
   double best_cost = 0;
-  int best = -1;
-  std::vector<NdlProgram> programs;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    // The candidate list above applies exactly the validator's applicability
-    // conditions, so a shape failure here is an invariant violation.
-    RewriteResult rewrite = RewriteOmqOrError(ctx, query, candidates[i], options);
-    OWLQR_CHECK_MSG(rewrite.ok(), rewrite.status.message().c_str());
-    programs.push_back(std::move(rewrite.program));
-    double cost = EstimateEvaluationCost(programs.back(), stats);
-    if (best < 0 || cost < best_cost) {
-      best = static_cast<int>(i);
+  for (RewriterKind kind : {RewriterKind::kLin, RewriterKind::kLog,
+                            RewriterKind::kTw, RewriterKind::kTwStar}) {
+    // RewriteOmqOrError refuses, before rewriting anything, a query outside
+    // the rewriter's class (ValidateOmqShape).
+    RewriteResult rewrite = RewriteOmqOrError(ctx, query, kind, options);
+    if (!rewrite.ok()) continue;
+    double cost = EstimateEvaluationCost(rewrite.program, snapshot);
+    if (!best.has_value() || cost < best_cost) {
+      best = std::move(rewrite);
       best_cost = cost;
+      *chosen = kind;
     }
   }
-  if (chosen != nullptr) *chosen = candidates[best];
-  return std::move(programs[best]);
+  if (best.has_value()) return std::move(*best);
+  *chosen = RewriterKind::kUcq;
+  return RewriteOmqOrError(ctx, query, RewriterKind::kUcq, options);
 }
 
 }  // namespace owlqr

@@ -1,10 +1,8 @@
 #ifndef OWLQR_CORE_COST_MODEL_H_
 #define OWLQR_CORE_COST_MODEL_H_
 
-#include <map>
-
 #include "core/rewriters.h"
-#include "data/data_instance.h"
+#include "data/snapshot.h"
 #include "ndl/program.h"
 
 namespace owlqr {
@@ -13,36 +11,29 @@ namespace owlqr {
 // similarly to query execution planners in DBMSs and use statistical
 // information about the relational tables" with a cost function over
 // alternative rewritings.  This module implements that proposal: a textbook
-// cardinality model over the data statistics, used to pick among the optimal
-// rewriters per OMQ.
-
-struct DataStatistics {
-  long num_individuals = 0;
-  std::map<int, long> concept_cardinality;    // concept id -> #facts.
-  std::map<int, long> predicate_cardinality;  // predicate id -> #facts.
-
-  static DataStatistics FromInstance(const DataInstance& data);
-
-  long ConceptCount(int concept_id) const;
-  long PredicateCount(int predicate_id) const;
-};
+// cardinality model over the snapshot's relation sizes, used by
+// Engine::Prepare to pick among the optimal rewriters per OMQ.
 
 // Estimated number of tuples materialised when evaluating the program
-// bottom-up over data with these statistics: per clause, the product of the
-// body-atom cardinalities discounted by 1/|adom| for every repeated variable
-// occurrence (attribute-independence assumption), summed over clauses and
-// reachable IDB predicates.
+// bottom-up over `snapshot`: per clause, the product of the body-atom
+// cardinalities (each EDB predicate's row count, |adom| for TOP and
+// equality) discounted by 1/|adom| for every repeated variable occurrence
+// (attribute-independence assumption), summed over clauses and reachable
+// IDB predicates.  On a store-backed snapshot this faults in the columns
+// the program names, as its evaluation would.
 double EstimateEvaluationCost(const NdlProgram& program,
-                              const DataStatistics& stats);
+                              const DataSnapshot& snapshot);
 
-// Rewrites the OMQ with every applicable optimal strategy (Lin / Log / Tw /
-// Tw*), estimates each cost, and returns the cheapest program.  `chosen`
-// receives the selected strategy.
-NdlProgram CostBasedRewrite(RewritingContext* ctx,
-                            const ConjunctiveQuery& query,
-                            const DataStatistics& stats,
-                            const RewriteOptions& options = {},
-                            RewriterKind* chosen = nullptr);
+// Rewrites the OMQ with every optimal strategy whose class admits it
+// (Lin / Log / Tw / Tw*, per ValidateOmqShape), estimates each program's
+// cost over `snapshot`, and returns the cheapest.  When none applies (a
+// cyclic CQ over an infinite-depth ontology, the NP corner of Figure 1) it
+// returns the UCQ rewriting.  `chosen` receives the selected strategy.
+RewriteResult CostBasedRewrite(RewritingContext* ctx,
+                               const ConjunctiveQuery& query,
+                               const DataSnapshot& snapshot,
+                               const RewriteOptions& options,
+                               RewriterKind* chosen);
 
 }  // namespace owlqr
 

@@ -33,13 +33,6 @@ ComplexityClass OmqProfile::Complexity() const {
   return ComplexityClass::kNp;
 }
 
-RewriterKind OmqProfile::RecommendedRewriter() const {
-  if (finite_depth() && tree_shaped) return RewriterKind::kLin;
-  if (finite_depth()) return RewriterKind::kLog;
-  if (tree_shaped) return RewriterKind::kTw;
-  return RewriterKind::kUcq;
-}
-
 std::string OmqProfile::ToString() const {
   std::ostringstream os;
   os << "OMQ(";

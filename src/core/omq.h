@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "core/rewriters.h"
 #include "core/rewriting_context.h"
 #include "cq/cq.h"
 
@@ -34,10 +33,6 @@ struct OmqProfile {
   // The combined complexity of answering per Figure 1(a), treating the
   // profile's own d / t / l as the fixed bounds.
   ComplexityClass Complexity() const;
-
-  // The cheapest applicable optimal rewriter: Lin for OMQ(d,1,l) (NL), else
-  // Log for finite depth, else Tw for tree-shaped CQs; UCQ as a last resort.
-  RewriterKind RecommendedRewriter() const;
 
   std::string ToString() const;
 };

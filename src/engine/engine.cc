@@ -3,7 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "core/omq.h"
+#include "core/cost_model.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 
@@ -136,38 +136,37 @@ std::unique_ptr<Engine> Engine::Open(const TBox& tbox,
 PrepareResult Engine::Prepare(const ConjunctiveQuery& query,
                               const PrepareOptions& options) {
   OWLQR_NAMED_SPAN(span, "engine/prepare");
-  RewriterKind kind = options.kind;
-  if (options.auto_kind) {
-    // Shared lock: profiling reads the context's word graph, which a
-    // concurrent cache-miss rewrite (below, under the exclusive lock) may
-    // be growing.  Unlocked, this read raced that growth.
-    std::shared_lock<std::shared_mutex> ctx_lock(ctx_mutex_);
-    kind = ProfileOmq(ctx_, query).RecommendedRewriter();
-  }
-  span.Attr("kind", static_cast<long>(kind));
-  const std::string key =
-      MakePlanCacheKey(fingerprint_, query, kind, options.rewrite);
+  const std::string key = MakePlanCacheKey(
+      fingerprint_, query,
+      options.auto_kind ? std::nullopt : std::optional(options.kind),
+      options.rewrite);
   if (std::shared_ptr<const PreparedQuery> hit = cache_.Get(key)) {
+    span.Attr("kind", static_cast<long>(hit->kind()));
     span.Attr("cache_hit", 1);
     return {Status::Ok(), std::move(hit), true};
   }
 
+  // Every rewrite runs under this lock: the rewriting context's word table
+  // grows while rewriting.
   std::lock_guard<std::mutex> lock(prepare_mutex_);
   // A concurrent Prepare of the same key may have filled the cache while we
   // waited for the compile lock.
   if (std::shared_ptr<const PreparedQuery> hit =
           cache_.Get(key, /*count_miss=*/false)) {
+    span.Attr("kind", static_cast<long>(hit->kind()));
     span.Attr("cache_hit", 1);
     return {Status::Ok(), std::move(hit), true};
   }
   span.Attr("cache_hit", 0);
-  RewriteResult rewritten = [&] {
-    // Exclusive: the rewrite grows the context's word table, and
-    // ProfileOmq readers above must never observe that mid-growth.
-    // prepare_mutex_ (held) already serializes rewrites among themselves.
-    std::unique_lock<std::shared_mutex> ctx_lock(ctx_mutex_);
-    return RewriteOmqOrError(&ctx_, query, kind, options.rewrite);
-  }();
+  RewriterKind kind = options.kind;
+  // Under auto the Section 6 cost model picks the rewriter against the
+  // snapshot current now; the choice is cached with the plan (see
+  // PrepareOptions::auto_kind).
+  RewriteResult rewritten =
+      options.auto_kind
+          ? CostBasedRewrite(&ctx_, query, *snapshot(), options.rewrite, &kind)
+          : RewriteOmqOrError(&ctx_, query, kind, options.rewrite);
+  span.Attr("kind", static_cast<long>(kind));
   if (!rewritten.ok()) {
     return {std::move(rewritten.status), nullptr, false};
   }

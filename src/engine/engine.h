@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "core/rewriters.h"
@@ -86,8 +85,13 @@ struct EngineOptions {
 struct PrepareOptions {
   PrepareOptions() { rewrite.arbitrary_instances = true; }
 
-  // Pick the rewriter from the OMQ's profile (RecommendedRewriter); set to
-  // false to force `kind`.
+  // Let the Section 6 cost model pick the rewriter: on a plan-cache miss,
+  // Prepare rewrites the OMQ with every optimal rewriter its class admits
+  // (UCQ when none does), estimates each program over the current snapshot
+  // and keeps the cheapest.  The plan is cached under an auto key, so the
+  // choice is made once per cache entry: it may go stale as the data
+  // grows, but the plan stays correct, and an eviction decides again.
+  // PreparedQuery::kind() reports the choice.  Set to false to force `kind`.
   bool auto_kind = true;
   RewriterKind kind = RewriterKind::kTw;
   // Engine default differs from the raw rewriters: arbitrary_instances is
@@ -215,8 +219,8 @@ class Engine {
 
   const TBox& tbox() const { return tbox_; }
   // Read-only reasoning state, e.g. for ProfileOmq.  Do not use concurrently
-  // with Prepare (which may grow the context's word table); Prepare's own
-  // internal reads are synchronized via ctx_mutex_.
+  // with Prepare: a cache-miss rewrite grows the context's word table (under
+  // prepare_mutex_, which is Prepare's only access to the context).
   const RewritingContext& context() const { return ctx_; }
   Vocabulary* vocabulary() const { return tbox_.vocabulary(); }
   uint64_t tbox_fingerprint() const { return fingerprint_; }
@@ -276,15 +280,11 @@ class Engine {
   RewritingContext ctx_;
   const uint64_t fingerprint_;
   PlanCache cache_;
-  // Serializes cache-miss compilation: the rewriting context's word table
-  // is mutated during rewriting, so only one rewrite may run at a time
-  // (cache hits and executions never take this).
+  // Serializes cache-miss compilation, the auto kind's cost-based choice
+  // included: the rewriting context's word table is mutated during
+  // rewriting, so every access to ctx_ happens under this lock (cache hits
+  // and executions never take it).
   std::mutex prepare_mutex_;
-  // Reader/writer guard on ctx_'s mutable reasoning state: rewrites (which
-  // grow the word table) take it exclusively; ProfileOmq-style read-only
-  // probes take it shared.  Without it, Prepare's pre-lock profile raced a
-  // concurrent cache-miss rewrite's word-table growth.
-  mutable std::shared_mutex ctx_mutex_;
   // Serializes the build phase of ApplyFacts (one in-flight WithFacts at a
   // time keeps versions monotone, each extending its predecessor's
   // relation stores) without blocking snapshot readers, who only ever take

@@ -111,10 +111,12 @@ std::string CanonicalCqKey(const ConjunctiveQuery& query) {
 }
 
 std::string MakePlanCacheKey(uint64_t tbox_fingerprint,
-                             const ConjunctiveQuery& query, RewriterKind kind,
+                             const ConjunctiveQuery& query,
+                             std::optional<RewriterKind> kind,
                              const RewriteOptions& options) {
   std::string key = std::to_string(tbox_fingerprint);
-  key += "|k" + std::to_string(static_cast<int>(kind));
+  key += kind.has_value() ? "|k" + std::to_string(static_cast<int>(*kind))
+                          : "|kauto";
   key += options.arbitrary_instances ? "|*1" : "|*0";
   key += "|cap" + std::to_string(options.baseline.max_clauses);
   key += "|";

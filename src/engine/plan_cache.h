@@ -13,7 +13,8 @@
 // still holding it.
 //
 // The PlanCache (an LruCache, engine/lru_cache.h) is keyed by
-//   (TBox fingerprint, rewriter kind, rewrite options, canonical CQ form)
+//   (TBox fingerprint, rewriter kind or auto, rewrite options, canonical CQ
+//    form)
 // serialized into one string; see MakePlanCacheKey.  The TBox fingerprint
 // makes plans from different ontologies (or an edited ontology) miss instead
 // of aliasing; the canonical CQ form makes alpha-renamed copies of the same
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/rewriters.h"
@@ -77,9 +79,11 @@ uint64_t FingerprintTBox(const TBox& tbox);
 std::string CanonicalCqKey(const ConjunctiveQuery& query);
 
 // The full cache key: fingerprint, kind, the option bits that change the
-// produced program, and the canonical CQ form.
+// produced program, and the canonical CQ form.  A null `kind` is the auto
+// key: the plan the cost model chose, whatever kind that was.
 std::string MakePlanCacheKey(uint64_t tbox_fingerprint,
-                             const ConjunctiveQuery& query, RewriterKind kind,
+                             const ConjunctiveQuery& query,
+                             std::optional<RewriterKind> kind,
                              const RewriteOptions& options);
 
 // The thread-safe LRU cache of prepared queries, bounded by entry count

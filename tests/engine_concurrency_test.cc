@@ -170,14 +170,14 @@ TEST(EngineConcurrencyTest, ConcurrentPrepareExecuteApplyFactsAgree) {
   EXPECT_GT(stats.misses, 0);
 }
 
-// Regression for a data race in Engine::Prepare: the auto-kind profiling
-// pass (ProfileOmq) used to run before `prepare_mutex_` was taken, reading
-// the RewritingContext's interned word table while a concurrent cache-miss
-// rewrite grew it.  With N threads preparing disjoint fresh queries, every
-// Prepare is a miss whose rewrite mutates the shared context while every
-// other thread's profiler reads it.  Run under ThreadSanitizer (`ctest -L
-// sanitize`) this pins the fix: profiling holds `ctx_mutex_` shared,
-// rewrites hold it exclusive.
+// Concurrent auto-kind prepares of disjoint fresh queries.  Every Prepare
+// is a plan-cache miss whose cost-based choice rewrites the query with each
+// applicable rewriter (growing the shared RewritingContext's word table)
+// and estimates each program over the pinned snapshot, while the other
+// threads do the same and execute earlier plans.  Run under
+// ThreadSanitizer (`ctest -L sanitize`) this pins that all of that work,
+// the choice included, runs inside the one compile lock, `prepare_mutex_`;
+// an auto-kind read of the context outside it once raced the rewrites.
 TEST(EngineConcurrencyTest, ConcurrentAutoKindPrepareIsRaceFree) {
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 6;

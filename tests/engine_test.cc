@@ -1,11 +1,14 @@
 // Tests for the prepared-OMQ engine facade: the plan cache (hit / miss /
 // eviction, key sensitivity), the no-rewrite-on-warm-execute guarantee, the
-// non-aborting Prepare error path, and copy-on-write ApplyFacts snapshots.
+// non-aborting Prepare error path, copy-on-write ApplyFacts snapshots, and
+// the cost-based auto rewriter choice.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
 #include "ndl/evaluator.h"
+#include "syntax/parser.h"
 #include "util/metrics.h"
 #include "workloads/paper_workloads.h"
 
@@ -289,6 +293,132 @@ TEST_F(EngineTest, ParallelExecuteMatchesSequential) {
   ExecuteResult a = engine.Execute(*prepared.query, sequential);
   ExecuteResult b = engine.Execute(*prepared.query, parallel);
   EXPECT_EQ(a.answers, b.answers);
+}
+
+// The Section 6 cost model is the engine's auto: over Example 11 and
+// Table 2 dataset 2 at scale 0.1, it must pick a rewriter that completes
+// under the tuple cap whenever one does, stay within 1.25x of the summed
+// per-query cheapest forced kind, and answer as every forced kind that
+// completes (Tw among them).  The
+// queries are the perfbench `serve` pool (branching unary trees, on which
+// Lin's cross products blow up) plus seeded {R,S}-words of length 3-15.
+TEST(EngineAutoKindTest, CostModelStaysNearTheCheapestRewriter) {
+  static const char* const kServePool[] = {
+      "q(x0) :- R(x0, x1), R(x1, x2)",
+      "q(x0) :- R(x1, x0), R(x0, x2), R(x0, x3)",
+      "q(x0) :- R(x0, x1), R(x0, x2), R(x1, x3), R(x2, x4)",
+      "q(x0) :- R(x0, x1), R(x0, x2)",
+      "q(x0) :- R(x1, x0), R(x0, x2)",
+      "q(x0) :- R(x1, x0), R(x1, x2), R(x1, x3), R(x0, x4), S(x5, x2)",
+      "q(x0) :- R(x0, x1), S(x2, x0)",
+      "q(x0) :- R(x1, x0), R(x0, x2), S(x0, x3)",
+      "q(x0) :- S(x0, x1), S(x0, x2), R(x3, x0), S(x4, x0)",
+      "q(x0) :- R(x0, x1), R(x2, x0), S(x1, x3), S(x1, x4), S(x0, x5)",
+      "q(x0) :- R(x0, x1), R(x2, x0), S(x3, x2), R(x2, x4)",
+      "q(x0) :- S(x0, x1), R(x0, x2), R(x2, x3), R(x0, x4), S(x5, x0)",
+      "q(x0) :- R(x1, x0), S(x2, x0), R(x1, x3)",
+      "q(x0) :- S(x0, x1), R(x1, x2), S(x1, x3), S(x4, x1), S(x0, x5)",
+      "q(x0) :- S(x1, x0), S(x2, x0)",
+      "q(x0) :- S(x1, x0), R(x2, x0), R(x2, x3)",
+      "q(x0) :- S(x0, x1), S(x2, x1), R(x1, x3), R(x2, x4)",
+      "q(x0) :- S(x0, x1), R(x1, x2), S(x1, x3), R(x4, x3), R(x5, x0)",
+      "q(x0) :- S(x1, x0), S(x1, x2)",
+      "q(x0) :- S(x0, x1), S(x1, x2), S(x2, x3)",
+      "q(x0) :- R(x1, x0), S(x0, x2), S(x3, x2), S(x4, x2)",
+      "q(x0) :- R(x0, x1), S(x2, x0), S(x1, x3), R(x4, x1), S(x1, x5)",
+      "q(x0) :- S(x1, x0), R(x2, x0)",
+      "q(x0) :- R(x1, x0), R(x2, x0), S(x0, x3)",
+      "q(x0) :- S(x0, x1), R(x2, x0), S(x3, x1), S(x1, x4)",
+      "q(x0) :- S(x1, x0), S(x0, x2), R(x2, x3), R(x4, x1), S(x5, x4)",
+      "q(x0) :- R(x1, x0), S(x2, x0)",
+      "q(x0) :- S(x1, x0), R(x2, x1), R(x0, x3)",
+      "q(x0) :- R(x0, x1), R(x2, x0), S(x2, x3), R(x1, x4)",
+      "q(x0) :- S(x1, x0), R(x2, x0), R(x3, x0), S(x4, x3), R(x1, x5)",
+      "q(x0) :- S(x0, x1), S(x0, x2), S(x3, x2)",
+      "q(x0) :- S(x1, x0), R(x2, x0), S(x3, x1), R(x4, x2)",
+      "q(x0) :- S(x1, x0), R(x0, x2)",
+      "q(x0) :- R(x1, x0), R(x0, x2), S(x1, x3)",
+      "q(x0) :- R(x0, x1), S(x2, x1), S(x3, x1), R(x2, x4)",
+      "q(x0) :- R(x0, x1), R(x1, x2), S(x2, x3), S(x0, x4), S(x1, x5)",
+      "q(x0) :- S(x1, x0), R(x1, x2)",
+      "q(x0) :- S(x0, x1), R(x2, x0), S(x1, x3)",
+      "q(x0) :- S(x1, x0), R(x0, x2), S(x3, x1), S(x4, x0)",
+      "q(x0) :- S(x0, x1), R(x1, x2), S(x3, x1), S(x1, x4), S(x5, x0)",
+      "q(x0) :- S(x1, x0), S(x0, x2), R(x3, x0)",
+      "q(x0) :- S(x1, x0), R(x1, x2), R(x1, x3), S(x3, x4)",
+      "q(x0) :- S(x1, x0), R(x1, x2), S(x2, x3), S(x3, x4), R(x5, x4)",
+      "q(x0) :- S(x1, x0), S(x1, x2)",
+      "q(x0) :- S(x0, x1), S(x0, x2), R(x3, x2)",
+      "q(x0) :- R(x1, x0), S(x0, x2), S(x0, x3), S(x4, x2), R(x5, x0)",
+  };
+  constexpr int kWordsPerLength = 3;
+  constexpr long kTupleCap = 500000;
+
+  Vocabulary vocab;
+  auto tbox = MakeExample11TBox(&vocab);
+  Engine engine(*tbox,
+                GenerateDataset(&vocab, *tbox, Table2Configs(0.1)[1]));
+
+  std::vector<ConjunctiveQuery> queries;
+  for (const char* text : kServePool) {
+    std::string error;
+    std::optional<ConjunctiveQuery> q = ParseQuery(text, &vocab, &error);
+    ASSERT_TRUE(q.has_value()) << text << ": " << error;
+    queries.push_back(*q);
+  }
+  // Words drawn as perfbench `paper` draws them: R-runs of at most two
+  // letters, since every R is a hop in the degree-10 graph and longer runs
+  // take seconds under every rewriter.
+  std::mt19937 rng(1);
+  for (int length = 3; length <= 15; ++length) {
+    for (int i = 0; i < kWordsPerLength; ++i) {
+      std::string word;
+      int r_run = 0;
+      for (int j = 0; j < length; ++j) {
+        const bool r = (rng() & 1) && r_run < 2;
+        r_run = r ? r_run + 1 : 0;
+        word += r ? 'R' : 'S';
+      }
+      queries.push_back(SequenceQuery(&vocab, word));
+    }
+  }
+
+  ExecuteRequest request;
+  request.limits.max_generated_tuples = kTupleCap;
+  long auto_sum = 0;
+  long min_sum = 0;
+  for (const ConjunctiveQuery& q : queries) {
+    const std::string name = q.ToString();
+    PrepareResult chosen = engine.Prepare(q);
+    ASSERT_TRUE(chosen.ok()) << name << ": " << chosen.status.ToString();
+    ExecuteResult auto_run = engine.Execute(*chosen.query, request);
+
+    std::optional<long> cheapest;
+    for (RewriterKind kind : {RewriterKind::kLin, RewriterKind::kLog,
+                              RewriterKind::kTw, RewriterKind::kTwStar}) {
+      PrepareOptions forced;
+      forced.auto_kind = false;
+      forced.kind = kind;
+      PrepareResult prepared = engine.Prepare(q, forced);
+      if (!prepared.ok()) continue;  // Outside this rewriter's class.
+      ExecuteResult run = engine.Execute(*prepared.query, request);
+      if (run.partial) continue;  // Hit the cap.
+      cheapest = std::min(cheapest.value_or(run.stats.generated_tuples),
+                          run.stats.generated_tuples);
+      // Every complete rewriting returns the certain answers.
+      EXPECT_EQ(auto_run.answers, run.answers)
+          << name << ": auto vs " << RewriterName(kind);
+    }
+    ASSERT_TRUE(cheapest.has_value()) << name;
+    EXPECT_FALSE(auto_run.partial)
+        << name << ": auto picked " << RewriterName(chosen.query->kind())
+        << ", which hit the " << kTupleCap << "-tuple cap";
+    auto_sum += auto_run.stats.generated_tuples;
+    min_sum += *cheapest;
+  }
+  EXPECT_LE(auto_sum, 1.25 * min_sum)
+      << "auto's tuples " << auto_sum << " vs the per-query minima "
+      << min_sum;
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //  - the recovery state machine's edges: a LOG with no CURRENT is data
 //    loss, a fingerprint mismatch is refused, a fully-cold recovery
 //    (store_resident_bytes = 1) still answers exactly, incremental
-//    catch-up included;
+//    catch-up included, and an auto prepare chooses its rewriter as over
+//    resident columns;
 //  - replaying the log tail copies no relation (O(record), not O(|A|));
 //  - the store's counters are live: each durable batch is one appended log
 //    record, a reopen replays exactly those records, and executions never
@@ -616,6 +617,49 @@ TEST(StoreRecoveryTest, IncrementalCatchUpOverColdColumns) {
       {a_id, vocab->InternIndividual("warm_a")});
   expect_incremental_matches_full(faulted_concept);
   EXPECT_NE(engine.Execute(*prepared.query).answers, seed.answers);
+}
+
+// An auto prepare estimates its candidates over the snapshot it pins, so on
+// a fully cold recovery it faults in the columns those rewritings name and
+// no others.  It must choose the same rewriter as over a fully resident
+// copy of the store and answer the same; the A column, which no rewriting
+// of R(x, y), C(y) names, stays cold.
+TEST(StoreRecoveryTest, AutoPrepareOverColdColumnsChoosesAsResident) {
+  const std::string dir = MakeTempDir("store_cold_auto");
+  BuildStore(dir, 3);
+  {
+    Instance compactor = OpenInstance(dir);
+    ASSERT_NE(compactor.engine, nullptr) << compactor.open_status.ToString();
+    ASSERT_TRUE(compactor.engine->Checkpoint().ok());
+  }
+  constexpr char kQueryRC[] = "q(x) :- R(x, y), C(y)";
+
+  std::vector<RewriterKind> kinds;
+  std::vector<std::multiset<std::string>> answers;
+  for (size_t resident_bytes : {size_t{1}, size_t{0}}) {
+    Instance inst = OpenInstance(dir, resident_bytes);
+    ASSERT_NE(inst.engine, nullptr) << inst.open_status.ToString();
+    std::string error;
+    auto query = ParseQuery(kQueryRC, inst.vocab.get(), &error);
+    ASSERT_TRUE(query.has_value()) << error;
+    PrepareResult prepared = inst.engine->Prepare(*query);
+    ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+    kinds.push_back(prepared.query->kind());
+    const auto snap = inst.engine->snapshot();
+    if (resident_bytes == 1) {
+      // The segment holds A and R: the estimate has faulted R in.
+      EXPECT_EQ(snap->ResidentColumns(), 1u);
+    }
+    answers.push_back(AnswerNames(&inst, kQueryRC));
+    if (resident_bytes == 1) {
+      EXPECT_GT(snap->ColdColumns(), 0u);  // A.
+    } else {
+      EXPECT_EQ(snap->ColdColumns(), 0u);
+    }
+  }
+  EXPECT_EQ(kinds[0], kinds[1]);
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_EQ(answers[0], OracleNames(3, kQueryRC));
 }
 
 }  // namespace
