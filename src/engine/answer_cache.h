@@ -28,6 +28,13 @@
 //                  propagates its failure result to the followers but never
 //                  publishes it to the cache.
 //
+// Both hand out results by reference (KataGo's NNResultBuf pattern): a
+// SharedResult is one immutable ExecuteResult that a single producer
+// filled, allocated together with a write-once slot for its encoded answer
+// array (EncodedAnswers).  A hit, a follower and the cache entry hold the
+// same object, so serving one is a refcount bump, and the serving layer
+// encodes each shared answer set at most once.
+//
 // Only clean complete results are ever cached: partial, degraded,
 // truncated or aborted runs would poison every later hit.  Entries carry
 // the snapshot version they answer for, so an ApplyFacts can drop every
@@ -64,15 +71,65 @@ std::string AnswerCacheKey(const std::string& plan_key,
                            uint64_t snapshot_version,
                            const EvaluatorLimits& limits);
 
+// The write-once encoding of one shared result's answer array (the
+// serving layer's JSON, see api::Service::Execute).  Its bytes are charged
+// to the engine's memory budget when written and released when the last
+// holder of the result drops it.
+class EncodedAnswers {
+ public:
+  explicit EncodedAnswers(MemoryBudget* budget) : budget_(budget) {}
+  ~EncodedAnswers() {
+    if (budget_ != nullptr) budget_->Release(charged_);
+  }
+  EncodedAnswers(const EncodedAnswers&) = delete;
+  EncodedAnswers& operator=(const EncodedAnswers&) = delete;
+
+  // Returns the memoized bytes, calling `encode` to write them on the first
+  // call only; concurrent first callers wait for the one that writes.
+  template <typename Encode>
+  const std::string& Get(Encode&& encode) {
+    std::call_once(once_, [&] {
+      bytes_ = encode();
+      bytes_.shrink_to_fit();
+      charged_ = bytes_.capacity();
+      if (budget_ != nullptr) budget_->Charge(charged_);
+    });
+    return bytes_;
+  }
+
+ private:
+  MemoryBudget* const budget_;  // Nullable: untracked.
+  std::once_flag once_;
+  std::string bytes_;
+  size_t charged_ = 0;
+};
+
+// One execution result shared by reference, and the encoding slot
+// allocated beside it in the same block (so ExecuteResult keeps its
+// layout).  Both pointers share one control block: `encoded` lives exactly
+// as long as `result`, and copying a SharedResult is a refcount bump.
+struct SharedResult {
+  std::shared_ptr<const ExecuteResult> result;
+  // Null only for a result shared without Make (e.g. a hand-built cache
+  // entry); every result the engine shares has one.
+  std::shared_ptr<EncodedAnswers> encoded;
+
+  // Moves `result` into a fresh block whose encoding is charged to
+  // `budget` (nullable).
+  static SharedResult Make(ExecuteResult result, MemoryBudget* budget);
+};
+
 // Bounded, budget-charged LRU cache of complete execution results: the
 // LruCache policy, plus the per-entry snapshot version InvalidateBelow
-// sweeps by.
+// sweeps by.  An entry's charge is its result's MemoryBytes(); an encoding
+// written later charges the budget itself (see EncodedAnswers), so the
+// byte cap bounds results only.
 class AnswerCache {
   // One memoized result and the snapshot version it answers for.
   struct Entry {
     uint64_t version = 0;
-    std::shared_ptr<const ExecuteResult> result;
-    size_t MemoryBytes() const { return result->MemoryBytes(); }
+    SharedResult shared;
+    size_t MemoryBytes() const { return shared.result->MemoryBytes(); }
   };
 
  public:
@@ -89,14 +146,18 @@ class AnswerCache {
 
   bool enabled() const { return lru_.capacity() > 0; }
 
-  // Returns the cached result (refreshing its recency) or null on a miss.
-  std::shared_ptr<const ExecuteResult> Get(const std::string& key) {
+  // Returns the cached result (refreshing its recency) or null on a miss;
+  // on a hit, `encoded` (nullable) receives its encoding slot.
+  std::shared_ptr<const ExecuteResult> Get(
+      const std::string& key,
+      std::shared_ptr<EncodedAnswers>* encoded = nullptr) {
     if (!enabled()) return nullptr;
-    std::shared_ptr<const ExecuteResult> hit = lru_.Get(key).result;
-    OWLQR_COUNT(hit != nullptr ? "engine/answer_cache_hit"
-                               : "engine/answer_cache_miss",
+    SharedResult hit = lru_.Get(key).shared;
+    OWLQR_COUNT(hit.result != nullptr ? "engine/answer_cache_hit"
+                                      : "engine/answer_cache_miss",
                 1);
-    return hit;
+    if (encoded != nullptr) *encoded = std::move(hit.encoded);
+    return std::move(hit.result);
   }
 
   // Installs `result` under `key` as most-recently-used, charging its
@@ -106,9 +167,11 @@ class AnswerCache {
   // result is clean and complete; replacing an existing key releases the
   // old entry's charge.
   void Put(const std::string& key, uint64_t snapshot_version,
-           std::shared_ptr<const ExecuteResult> result) {
+           std::shared_ptr<const ExecuteResult> result,
+           std::shared_ptr<EncodedAnswers> encoded = nullptr) {
     if (!enabled() || result == nullptr) return;
-    lru_.Put(key, Entry{snapshot_version, std::move(result)});
+    lru_.Put(key, Entry{snapshot_version,
+                        SharedResult{std::move(result), std::move(encoded)}});
     OWLQR_COUNT("engine/answer_cache_insert", 1);
   }
 
@@ -137,9 +200,15 @@ class InFlightTable {
   struct Flight {
     std::promise<std::shared_ptr<const ExecuteResult>> promise;
     std::shared_future<std::shared_ptr<const ExecuteResult>> future;
+    // The resolved result's encoding slot; written before the promise is
+    // set, so a follower reads it after future.get().
+    std::shared_ptr<EncodedAnswers> encoded;
+    // Followers that joined; guarded by the table's mutex.
+    int followers = 0;
   };
-  // leader == true: the caller must run the execution and call Finish with
-  // this flight, on every exit path, or followers hang.  leader == false:
+  // leader == true: the caller must run the execution and retire this
+  // flight (Retire, then Resolve if a follower joined; or Finish) on every
+  // exit path, or followers hang.  leader == false:
   // the caller blocks on flight->future instead of executing.
   struct Ticket {
     std::shared_ptr<Flight> flight;
@@ -154,11 +223,20 @@ class InFlightTable {
   // already-running leader's flight.
   Ticket JoinOrLead(const std::string& key);
 
-  // Retires the leader's flight: removes it from the table (so the next
-  // identical request leads a fresh execution) and resolves the future
-  // every follower is blocked on.  `result` may be any outcome, including
-  // a shed or aborted one — failure propagates, it is the cache publish
-  // (the caller's job, before Finish) that is restricted to clean runs.
+  // Retires the leader's flight: removes it from the table, so the next
+  // identical request leads a fresh execution, and reports whether any
+  // follower joined it.  Joining and this check share the table's mutex,
+  // so after false no request can ever wait on the flight and the leader
+  // need not share its result; after true the leader must Resolve it.
+  bool Retire(const std::string& key, const std::shared_ptr<Flight>& flight);
+
+  // Resolves a retired flight's future, waking every follower blocked on
+  // it.  `shared` may be any outcome, including a shed or aborted one —
+  // failure propagates; it is the cache publish (the caller's job) that is
+  // restricted to clean runs.
+  static void Resolve(Flight* flight, SharedResult shared);
+
+  // Retire, then Resolve with `result` (no encoding slot).
   void Finish(const std::string& key, const std::shared_ptr<Flight>& flight,
               std::shared_ptr<const ExecuteResult> result);
 

@@ -182,7 +182,31 @@ ExecuteResult Engine::Execute(const PreparedQuery& prepared,
   if (!answer_cache_.enabled() && !coalesce_) {
     return ExecuteGoverned(prepared, request, nullptr, &span);
   }
+  ExecuteResult result;
+  SharedExecution run = ExecuteMemoized(prepared, request, &result, &span);
+  if (run.cached || run.coalesced) {
+    result = *run.shared.result;  // Byte-identical copy of the shared run.
+    result.cached = run.cached;
+    result.coalesced = run.coalesced;
+  }
+  return result;
+}
 
+SharedExecution Engine::ExecuteShared(const PreparedQuery& prepared,
+                                      const ExecuteRequest& request) const {
+  OWLQR_NAMED_SPAN(span, "engine/execute");
+  if (!answer_cache_.enabled() && !coalesce_) {
+    return {SharedResult::Make(
+        ExecuteGoverned(prepared, request, nullptr, &span),
+        governor_.budget())};
+  }
+  return ExecuteMemoized(prepared, request, nullptr, &span);
+}
+
+SharedExecution Engine::ExecuteMemoized(const PreparedQuery& prepared,
+                                        const ExecuteRequest& request,
+                                        ExecuteResult* owned,
+                                        ScopedSpan* span) const {
   // Resolve before compute: the answer set is a pure function of (plan,
   // snapshot version, limits), so pin the version and look the request up
   // before paying for admission or evaluation.
@@ -190,13 +214,15 @@ ExecuteResult Engine::Execute(const PreparedQuery& prepared,
   const uint64_t keyed_version = snap->version();
   const std::string key =
       AnswerCacheKey(prepared.cache_key(), keyed_version, request.limits);
-  if (std::shared_ptr<const ExecuteResult> hit = answer_cache_.Get(key)) {
-    span.Attr("answer_cache_hit", 1);
-    span.Attr("snapshot_version", static_cast<long>(hit->snapshot_version));
+  SharedExecution out;
+  out.shared.result = answer_cache_.Get(key, &out.shared.encoded);
+  if (out.shared.result != nullptr) {
+    span->Attr("answer_cache_hit", 1);
+    span->Attr("snapshot_version",
+               static_cast<long>(out.shared.result->snapshot_version));
     governor_.RecordAnswerCacheHit();
-    ExecuteResult result = *hit;  // Byte-identical copy of a clean run.
-    result.cached = true;
-    return result;
+    out.cached = true;
+    return out;
   }
   // A follower parks on the leader's shared_future, an uninterruptible
   // wait — requests that refuse to wait (queue_timeout_ms == 0) or that
@@ -213,44 +239,51 @@ ExecuteResult Engine::Execute(const PreparedQuery& prepared,
       // Follower: an identical execution is already running.  Wait for its
       // result instead of burning an admission slot re-deriving it; the
       // leader resolves the future on every exit path, failures included.
-      std::shared_ptr<const ExecuteResult> ready = ticket.flight->future.get();
-      span.Attr("coalesced", 1);
-      span.Attr("snapshot_version",
-                static_cast<long>(ready->snapshot_version));
+      out.shared.result = ticket.flight->future.get();
+      out.shared.encoded = ticket.flight->encoded;
+      span->Attr("coalesced", 1);
+      span->Attr("snapshot_version",
+                 static_cast<long>(out.shared.result->snapshot_version));
       governor_.RecordCoalesced();
-      ExecuteResult result = *ready;
-      result.coalesced = true;
-      return result;
+      out.coalesced = true;
+      return out;
     }
   }
 
-  ExecuteResult result =
-      ExecuteGoverned(prepared, request, std::move(snap), &span);
+  ExecuteResult moved;
+  ExecuteResult& result = owned != nullptr ? *owned : moved;
+  result = ExecuteGoverned(prepared, request, std::move(snap), span);
 
   // Publish ONLY a clean complete run: a partial, degraded or aborted
   // result would poison every later hit.  The incremental path may have
   // re-pinned the snapshot forward, so key the publish by the version the
   // result actually answers for.
-  std::shared_ptr<const ExecuteResult> shared;
-  const bool clean =
-      result.status.ok() && !result.partial && !result.degraded;
-  if (answer_cache_.enabled() && clean) {
-    shared = std::make_shared<const ExecuteResult>(result);
-    const std::string publish_key =
-        result.snapshot_version == keyed_version
+  const bool publish = answer_cache_.enabled() && result.status.ok() &&
+                       !result.partial && !result.degraded;
+  const uint64_t version = result.snapshot_version;
+  // The shared object is built at most once, and only for a reader: the
+  // cache, a follower, or an ExecuteShared caller.
+  auto share = [&] {
+    if (out.shared.result != nullptr) return;
+    out.shared = SharedResult::Make(
+        owned != nullptr ? ExecuteResult(result) : std::move(result),
+        governor_.budget());
+  };
+  if (publish) {
+    share();
+    answer_cache_.Put(
+        version == keyed_version
             ? key
-            : AnswerCacheKey(prepared.cache_key(), result.snapshot_version,
-                             request.limits);
-    answer_cache_.Put(publish_key, result.snapshot_version, shared);
+            : AnswerCacheKey(prepared.cache_key(), version, request.limits),
+        version, out.shared.result, out.shared.encoded);
   }
-  if (ticket.leader) {
-    // Resolve the followers — with failure too, but never via the cache.
-    if (shared == nullptr) {
-      shared = std::make_shared<const ExecuteResult>(result);
-    }
-    inflight_.Finish(key, ticket.flight, std::move(shared));
+  // Resolve the followers — with failure too, but never via the cache.
+  if (ticket.leader && inflight_.Retire(key, ticket.flight)) {
+    share();
+    InFlightTable::Resolve(ticket.flight.get(), out.shared);
   }
-  return result;
+  if (owned == nullptr) share();
+  return out;
 }
 
 ExecuteResult Engine::ExecuteGoverned(

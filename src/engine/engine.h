@@ -14,6 +14,8 @@
 //   Execute(plan, req)   -> answers + stats, pinned to the snapshot version
 //                           current at call time; per-request limits and
 //                           thread count come in the ExecuteRequest.
+//                           ExecuteShared is the same execution handing
+//                           out the result by reference.
 //   ApplyFactsOrError(batch) -> installs a new snapshot version;
 //                           executions already running keep the old
 //                           version alive via shared_ptr and are unaffected.
@@ -99,6 +101,17 @@ struct PrepareOptions {
   RewriteOptions rewrite;
 };
 
+// What ExecuteShared returns: one result shared read-only with the answer
+// cache and with coalesced requests, and how this request got it.
+struct SharedExecution {
+  // Never null; `shared.encoded` is its write-once encoding slot.  The
+  // result's own `cached` / `coalesced` members describe the run that
+  // produced it (both false); the members below describe this request.
+  SharedResult shared;
+  bool cached = false;
+  bool coalesced = false;
+};
+
 struct PrepareResult {
   Status status;
   // Null iff !status.ok().
@@ -158,13 +171,26 @@ class Engine {
   // tightened limits and surfaced with degraded=true.
   //
   // With the answer cache enabled, a memoized complete result for the same
-  // (plan, snapshot version, limits) is returned directly — byte-identical
+  // (plan, snapshot version, limits) serves the request — byte-identical
   // answers, cached=true, no admission slot taken.  With coalescing on, an
   // identical request already evaluating makes this call a follower: it
-  // waits for the leader's result and returns a copy with coalesced=true.
-  // Partial, degraded and aborted results are never memoized.
+  // waits for the leader's result, coalesced=true.  Partial, degraded and
+  // aborted results are never memoized.
+  //
+  // Execute hands out a value: a hit or a follower returns a copy of the
+  // shared result.  A leader returns the evaluator's own result by move; it
+  // copies it into a shared object only when the cache publishes it or a
+  // follower actually joined.
   ExecuteResult Execute(const PreparedQuery& prepared,
                         const ExecuteRequest& request = {}) const;
+
+  // The same execution, handing out the result by reference: a hit or a
+  // follower is a refcount bump on the object the cache or the leader
+  // holds, and a leader moves its result into that object.  The serving
+  // layer uses this path (api::Service::Execute) and encodes each shared
+  // answer set once, into `shared.encoded`.
+  SharedExecution ExecuteShared(const PreparedQuery& prepared,
+                                const ExecuteRequest& request = {}) const;
 
   // Prepare + Execute in one call, for one-shot queries.  On prepare
   // failure, returns an empty result and sets *status (nullable).
@@ -264,6 +290,17 @@ class Engine {
                           const ExecuteRequest& request,
                           std::shared_ptr<const DataSnapshot>* snap,
                           ExecuteResult* result) const;
+  // The answer-cache / coalescing front-end of Execute and ExecuteShared.
+  // A hit or a follower returns the shared result with cached / coalesced
+  // set.  Otherwise this request leads: it evaluates, publishes a clean
+  // result to the cache and resolves any followers.  With `owned` (from
+  // Execute) the evaluated result stays in *owned and the shared object,
+  // built only if the cache or a follower needs it, is a copy; without it
+  // (ExecuteShared) the result moves into the returned shared object.
+  SharedExecution ExecuteMemoized(const PreparedQuery& prepared,
+                                  const ExecuteRequest& request,
+                                  ExecuteResult* owned,
+                                  ScopedSpan* span) const;
   // The governed evaluation core of Execute: admission, snapshot pinning
   // (reuses `snap` when the memoization front-end already pinned one),
   // incremental path, full evaluation, degraded retry.  Everything except

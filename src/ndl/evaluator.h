@@ -144,17 +144,21 @@ struct ExecuteResult {
   // True when Engine::Execute served this result out of its answer cache —
   // a byte-identical copy of a prior clean complete run at the same
   // (plan, snapshot version, limits) key; no evaluation ran and no
-  // admission slot was taken.
+  // admission slot was taken.  The shared object the cache holds keeps it
+  // false; Engine::ExecuteShared reports a hit in SharedExecution::cached.
   bool cached = false;
-  // True when this request coalesced onto an identical in-flight execution
-  // and copied the leader's result (whatever its outcome) instead of
-  // running itself.
+  // True when Engine::Execute coalesced this request onto an identical
+  // in-flight execution and copied the leader's result (whatever its
+  // outcome) instead of running itself.  Engine::ExecuteShared hands a
+  // follower the leader's object and reports it in
+  // SharedExecution::coalesced.
   bool coalesced = false;
 
-  // Heap bytes a retained copy of this result holds (the answer tuples plus
-  // the per-predicate stats vector) — what the engine's answer cache
-  // charges against the memory budget per resident entry, and what one
-  // cache hit or coalesced follower pays to copy.
+  // Heap bytes this result holds (the answer tuples plus the per-predicate
+  // stats vector) — what the engine's answer cache charges against the
+  // memory budget per resident entry, and what Engine::Execute pays to copy
+  // a hit or a follower out of the shared object (ExecuteShared copies
+  // nothing).
   size_t MemoryBytes() const;
 };
 

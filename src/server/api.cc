@@ -3,6 +3,7 @@
 #include <limits>
 #include <mutex>
 #include <shared_mutex>
+#include <string_view>
 #include <utility>
 
 #include "cq/cq.h"
@@ -329,15 +330,45 @@ std::string ExecuteRequestToJson(const WireExecuteRequest& wire) {
 
 namespace {
 
-// The shared tail of both ExecuteResultToJson overloads: everything after
-// the answers array.
-template <typename AnswerEmitter>
+// Writes `tuples` as a JSON array of arrays of strings, `name(term)`
+// spelling each term.
+template <typename Tuples, typename Name>
+std::string TuplesJson(const Tuples& tuples, Name&& name) {
+  std::string out;
+  out.push_back('[');
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out.push_back('[');
+    for (size_t j = 0; j < tuples[i].size(); ++j) {
+      if (j > 0) out.push_back(',');
+      AppendJsonString(&out, name(tuples[i][j]));
+    }
+    out.push_back(']');
+  }
+  out.push_back(']');
+  return out;
+}
+
+// The one encoder of an execution's "answers" array: every tuple as an
+// array of individual names, in the engine's sorted answer order.  The
+// caller holds the tenant's vocab_mutex (shared).
+std::string EncodeAnswers(const std::vector<std::vector<int>>& answers,
+                          const Vocabulary& vocab) {
+  OWLQR_COUNT("api/answers_encoded", 1);
+  return TuplesJson(answers, [&](int id) -> const std::string& {
+    return vocab.IndividualName(id);
+  });
+}
+
+// The execute result body around an already-encoded "answers" array.
 std::string ExecuteResultJson(const Status& status, uint64_t snapshot_version,
                               bool partial, bool degraded, bool incremental,
                               bool cached, bool coalesced, long goal_tuples,
                               long generated_tuples, long join_emissions,
-                              AnswerEmitter&& emit_answers) {
+                              std::string_view answers) {
   JsonWriter w;
+  // The envelope adds a couple of hundred bytes to the answers.
+  w.Reserve(answers.size() + 256 + status.message().size());
   w.BeginObject();
   WriteStatusObject(&w, status);
   w.KV("snapshot_version", snapshot_version);
@@ -347,9 +378,7 @@ std::string ExecuteResultJson(const Status& status, uint64_t snapshot_version,
   w.KV("cached", cached);
   w.KV("coalesced", coalesced);
   w.Key("answers");
-  w.BeginArray();
-  emit_answers(&w);
-  w.EndArray();
+  w.Raw(answers);
   w.Key("stats");
   w.BeginObject();
   w.KV("goal_tuples", goal_tuples);
@@ -360,34 +389,32 @@ std::string ExecuteResultJson(const Status& status, uint64_t snapshot_version,
   return w.TakeString();
 }
 
+// `result`'s body, with this request's cached / coalesced flags.
+std::string ExecuteResultJson(const ExecuteResult& result, bool cached,
+                              bool coalesced, std::string_view answers) {
+  return ExecuteResultJson(
+      result.status, result.snapshot_version, result.partial, result.degraded,
+      result.incremental, cached, coalesced, result.stats.goal_tuples,
+      result.stats.generated_tuples, result.stats.join_emissions, answers);
+}
+
 }  // namespace
 
 std::string ExecuteResultToJson(const ExecuteResult& result,
                                 const Vocabulary& vocab) {
-  return ExecuteResultJson(
-      result.status, result.snapshot_version, result.partial, result.degraded,
-      result.incremental, result.cached, result.coalesced,
-      result.stats.goal_tuples, result.stats.generated_tuples,
-      result.stats.join_emissions, [&](JsonWriter* w) {
-        for (const std::vector<int>& tuple : result.answers) {
-          w->BeginArray();
-          for (int id : tuple) w->String(vocab.IndividualName(id));
-          w->EndArray();
-        }
-      });
+  return ExecuteResultJson(result, result.cached, result.coalesced,
+                           EncodeAnswers(result.answers, vocab));
 }
 
 std::string ExecuteResultToJson(const WireExecuteResult& wire) {
   return ExecuteResultJson(
       wire.status, wire.snapshot_version, wire.partial, wire.degraded,
       wire.incremental, wire.cached, wire.coalesced, wire.goal_tuples,
-      wire.generated_tuples, wire.join_emissions, [&](JsonWriter* w) {
-        for (const std::vector<std::string>& tuple : wire.answers) {
-          w->BeginArray();
-          for (const std::string& name : tuple) w->String(name);
-          w->EndArray();
-        }
-      });
+      wire.generated_tuples, wire.join_emissions,
+      TuplesJson(wire.answers,
+                 [](const std::string& name) -> const std::string& {
+                   return name;
+                 }));
 }
 
 Status ExecuteResultFromJson(const JsonValue& body, WireExecuteResult* out) {
@@ -687,15 +714,23 @@ Response Service::Execute(server::Tenant& tenant, const Request& request) {
   if (!s.ok()) return ErrorResponse(std::move(s));
 
   wire.exec.cancel = request.cancel;
-  // Evaluation never touches the vocabulary: no lock held.
-  ExecuteResult result = tenant.engine()->Execute(*prepared, wire.exec);
+  // Evaluation never touches the vocabulary: no lock held.  The result is
+  // shared with the answer cache and coalesced requests, so a hit copies
+  // nothing.
+  SharedExecution run = tenant.engine()->ExecuteShared(*prepared, wire.exec);
+  const ExecuteResult& result = *run.shared.result;
 
   Response response;
   response.status = result.status;
   {
-    // Serialising answers reads individual names: shared lock.
+    // Serialising answers reads individual names: shared lock.  The answers
+    // array is encoded once per shared result; a hit writes only the
+    // envelope around it.
     std::shared_lock<std::shared_mutex> vocab_lock(tenant.vocab_mutex());
-    response.body = ExecuteResultToJson(result, *tenant.vocabulary());
+    const std::string& answers = run.shared.encoded->Get(
+        [&] { return EncodeAnswers(result.answers, *tenant.vocabulary()); });
+    response.body =
+        ExecuteResultJson(result, run.cached, run.coalesced, answers);
   }
   return response;
 }

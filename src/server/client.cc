@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -126,16 +127,19 @@ Status HttpClient::RoundTrip(const std::string& request, int* http_status,
       close_after = true;
     }
   }
-  while (buf.size() < content_length) {
-    char chunk[8192];
-    ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
+  // The body lands in place: the bytes that arrived with the head, then
+  // the rest received straight into the sized string.
+  body->resize(content_length);
+  size_t got = std::min(buf.size(), content_length);
+  std::memcpy(body->data(), buf.data(), got);
+  while (got < content_length) {
+    ssize_t n = recv(fd_, body->data() + got, content_length - got, 0);
     if (n <= 0) {
       Disconnect();
       return Status::Rejected("connection closed mid-body");
     }
-    buf.append(chunk, static_cast<size_t>(n));
+    got += static_cast<size_t>(n);
   }
-  *body = buf.substr(0, content_length);
   if (close_after) Disconnect();
   return Status::Ok();
 }

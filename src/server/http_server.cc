@@ -4,6 +4,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,13 +38,36 @@ void SetSocketTimeout(int fd, int option, long ms) {
   setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
-// Sends all of `data`, ignoring SIGPIPE; false on any send failure.
-bool SendAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+// Sends `head` then `body` with one sendmsg per attempt, resuming after a
+// short write (a send timeout or a signal can cut one off), ignoring
+// SIGPIPE; false on any send failure.
+bool SendAll(int fd, std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = iov;
+  size_t count = 2;
+  while (count > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --count;
+      continue;
+    }
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
+    // Skip what was sent: whole buffers, then a prefix of the next one.
+    size_t sent = static_cast<size_t>(n);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -56,7 +80,7 @@ bool SendResponse(int fd, int http_status, std::string_view body,
                      std::to_string(body.size()) +
                      (keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
                                  : "\r\nConnection: close\r\n\r\n");
-  return SendAll(fd, head) && SendAll(fd, body);
+  return SendAll(fd, head, body);
 }
 
 // A transport-level error (no Status from the service): the same envelope

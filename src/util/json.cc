@@ -9,7 +9,14 @@ namespace owlqr {
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (char c : s) {
+  // Bytes that need no escape are appended a run at once; UTF-8 sequences
+  // (all bytes >= 0x80) pass through unchanged.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -26,17 +33,14 @@ void AppendJsonString(std::string* out, std::string_view s) {
       case '\t':
         *out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        *out += buf;
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 

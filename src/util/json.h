@@ -82,6 +82,9 @@ class JsonWriter {
   void KV(std::string_view key, double v) { Key(key); Double(v); }
   void KV(std::string_view key, bool v) { Key(key); Bool(v); }
 
+  // Pre-sizes the output buffer for a document of about `bytes`.
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   const std::string& str() const { return out_; }
   std::string TakeString() { return std::move(out_); }
 

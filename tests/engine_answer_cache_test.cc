@@ -225,6 +225,31 @@ TEST(InFlightTableUnitTest, OneLeaderManyFollowersPerKey) {
   EXPECT_EQ(table.size(), 0u);
 }
 
+TEST(InFlightTableUnitTest, RetireReportsWhetherAFollowerJoined) {
+  InFlightTable table;
+  // Alone: retiring reports no follower, so the leader shares nothing.
+  InFlightTable::Ticket alone = table.JoinOrLead("k");
+  ASSERT_TRUE(alone.leader);
+  EXPECT_FALSE(table.Retire("k", alone.flight));
+  EXPECT_EQ(table.size(), 0u);
+
+  // Joined: retiring reports the follower, and Resolve hands it the
+  // leader's object and encoding slot.
+  InFlightTable::Ticket leader = table.JoinOrLead("k");
+  ASSERT_TRUE(leader.leader);
+  InFlightTable::Ticket follower = table.JoinOrLead("k");
+  ASSERT_FALSE(follower.leader);
+  EXPECT_TRUE(table.Retire("k", leader.flight));
+  EXPECT_EQ(table.size(), 0u);
+  ExecuteResult result;
+  result.snapshot_version = 7;
+  SharedResult shared = SharedResult::Make(std::move(result), nullptr);
+  InFlightTable::Resolve(leader.flight.get(), shared);
+  EXPECT_EQ(follower.flight->future.get(), shared.result);
+  EXPECT_EQ(follower.flight->encoded, shared.encoded);
+  EXPECT_EQ(follower.flight->future.get()->snapshot_version, 7u);
+}
+
 TEST_F(EngineAnswerCacheTest, HitIsByteIdenticalAndTakesNoSlot) {
   Engine engine(*tbox_, *base_, nullptr, CachedOptions());
   PrepareResult prepared = engine.Prepare(queries_[1], prepare_options_);
@@ -608,6 +633,177 @@ TEST_F(EngineAnswerCacheTest, FailedLeaderPropagatesWithoutPoisoningCache) {
   EXPECT_EQ(engine.answer_cache_stats().insertions, 0);
   EXPECT_EQ(EngineTestPeer::InFlightSize(engine), 0u);
   EXPECT_EQ(engine.governor_counters().memory_used, 0u);
+}
+
+// The serving path: a miss publishes its result by reference and every hit
+// hands out that same object, never a copy.
+TEST_F(EngineAnswerCacheTest, SharedHitsReturnTheSameObject) {
+  Engine engine(*tbox_, *base_, nullptr, CachedOptions());
+  PrepareResult prepared = engine.Prepare(queries_[1], prepare_options_);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+
+  SharedExecution miss = engine.ExecuteShared(*prepared.query);
+  ASSERT_NE(miss.shared.result, nullptr);
+  ASSERT_NE(miss.shared.encoded, nullptr);
+  ASSERT_TRUE(miss.shared.result->status.ok());
+  EXPECT_FALSE(miss.cached);
+  EXPECT_FALSE(miss.coalesced);
+  SharedExecution first = engine.ExecuteShared(*prepared.query);
+  SharedExecution second = engine.ExecuteShared(*prepared.query);
+  EXPECT_TRUE(first.cached);
+  EXPECT_TRUE(second.cached);
+  EXPECT_EQ(first.shared.result, second.shared.result);
+  EXPECT_EQ(first.shared.encoded, second.shared.encoded);
+  EXPECT_EQ(first.shared.result, miss.shared.result);
+  // The shared object describes the run that produced it; the flags of
+  // this request travel beside it.
+  EXPECT_FALSE(first.shared.result->cached);
+  // The copying path serves the same answers, marked cached.
+  ExecuteResult copy = engine.Execute(*prepared.query);
+  EXPECT_TRUE(copy.cached);
+  EXPECT_EQ(copy.answers, miss.shared.result->answers);
+  EXPECT_EQ(engine.governor_counters().admitted, 1);
+  EXPECT_EQ(engine.governor_counters().answer_cache_hits, 3);
+
+  // Without the cache, each ExecuteShared evaluates into its own object.
+  EngineOptions uncached_options;
+  uncached_options.coalesce = false;
+  Engine uncached(*tbox_, *base_, nullptr, uncached_options);
+  PrepareResult uncached_prepared =
+      uncached.Prepare(queries_[1], prepare_options_);
+  ASSERT_TRUE(uncached_prepared.ok());
+  SharedExecution a = uncached.ExecuteShared(*uncached_prepared.query);
+  SharedExecution b = uncached.ExecuteShared(*uncached_prepared.query);
+  EXPECT_NE(a.shared.result, b.shared.result);
+  EXPECT_EQ(a.shared.result->answers, miss.shared.result->answers);
+  EXPECT_FALSE(a.cached);
+}
+
+// The encoding written into a shared result's slot is charged to the
+// engine budget and released when the last holder drops it: after
+// ClearAnswerCache and after an ApplyFacts invalidation.
+TEST_F(EngineAnswerCacheTest, MemoizedEncodingIsChargedUntilTheLastHolderDrops) {
+  Engine engine(*tbox_, *base_, nullptr, CachedOptions());
+  PrepareResult prepared = engine.Prepare(queries_[1], prepare_options_);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+  const size_t baseline = engine.governor_counters().memory_used;
+  const std::string encoding(10'000, 'x');
+  int encodes = 0;
+  auto encode = [&] {
+    ++encodes;
+    return encoding;
+  };
+
+  for (bool invalidate : {false, true}) {
+    SCOPED_TRACE(invalidate ? "ApplyFacts invalidation" : "ClearAnswerCache");
+    engine.ExecuteShared(*prepared.query);  // Miss: publishes.
+    const size_t cached = engine.governor_counters().memory_used;
+    EXPECT_EQ(cached, baseline + engine.answer_cache_bytes());
+    {
+      SharedExecution hit = engine.ExecuteShared(*prepared.query);
+      ASSERT_TRUE(hit.cached);
+      encodes = 0;
+      EXPECT_EQ(hit.shared.encoded->Get(encode), encoding);
+      EXPECT_EQ(hit.shared.encoded->Get(encode), encoding);
+      EXPECT_EQ(encodes, 1);
+      EXPECT_GE(engine.governor_counters().memory_used,
+                cached + encoding.size());
+      // A later hit reads the same memo without encoding again.
+      SharedExecution again = engine.ExecuteShared(*prepared.query);
+      EXPECT_EQ(again.shared.encoded->Get(encode), encoding);
+      EXPECT_EQ(encodes, 1);
+
+      if (invalidate) {
+        ASSERT_TRUE(engine.ApplyFactsOrError(FreshBatch(1)).ok());
+      } else {
+        engine.ClearAnswerCache();
+      }
+      EXPECT_EQ(engine.answer_cache_size(), 0u);
+      // This request still holds the result, so its encoding stays charged.
+      EXPECT_GE(engine.governor_counters().memory_used,
+                baseline + encoding.size());
+    }
+    EXPECT_EQ(engine.governor_counters().memory_used, baseline);
+  }
+}
+
+// A coalesced follower is handed the leader's object itself.  Same set-up
+// as CoalescedFollowersShareOneEvaluation, through ExecuteShared.
+TEST_F(EngineAnswerCacheTest, CoalescedFollowerReceivesTheLeadersObject) {
+  DataInstance dense(&vocab_);
+  {
+    int r = vocab_.InternPredicate("R");
+    int s = vocab_.InternPredicate("S");
+    std::vector<int> inds;
+    for (int i = 0; i < 600; ++i) {
+      inds.push_back(dense.AddIndividual("v" + std::to_string(i)));
+    }
+    for (size_t i = 0; i < inds.size(); ++i) {
+      for (size_t j = 0; j < inds.size(); ++j) {
+        if (i != j) dense.AddRoleAssertion(r, inds[i], inds[j]);
+      }
+    }
+    for (int i = 0; i < 3; ++i) {
+      dense.AddRoleAssertion(s, inds[i], inds[i + 1]);
+    }
+  }
+  EngineOptions options;  // Answer cache OFF: isolate coalescing.
+  options.governor.max_concurrent = 1;
+  options.governor.max_queue = 16;
+  options.governor.queue_timeout_ms = 30'000;
+  Engine engine(*tbox_, dense, nullptr, options);
+  PrepareResult holder_prepared =
+      engine.Prepare(SequenceQuery(&vocab_, "RR"), prepare_options_);
+  ASSERT_TRUE(holder_prepared.ok()) << holder_prepared.status.ToString();
+  PrepareResult prepared = engine.Prepare(queries_[0], prepare_options_);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+
+  // Occupy the only slot with a cancellable run.
+  auto cancel = std::make_shared<CancelToken>();
+  std::thread holder([&] {
+    ExecuteRequest request;
+    request.cancel = cancel;
+    engine.Execute(*holder_prepared.query, request);
+  });
+  while (engine.governor_counters().admitted < 1) std::this_thread::yield();
+
+  SharedExecution leader;
+  std::thread leader_thread(
+      [&] { leader = engine.ExecuteShared(*prepared.query); });
+  while (engine.governor_counters().queued < 1) std::this_thread::yield();
+  ASSERT_EQ(EngineTestPeer::InFlightSize(engine), 1u);
+
+  constexpr int kFollowers = 3;
+  std::vector<SharedExecution> followers(kFollowers);
+  std::atomic<int> entered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kFollowers; ++t) {
+    threads.emplace_back([&, t] {
+      entered.fetch_add(1);
+      followers[t] = engine.ExecuteShared(*prepared.query);
+    });
+  }
+  while (entered.load() < kFollowers) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cancel->Cancel();
+  holder.join();
+  leader_thread.join();
+  for (std::thread& thread : threads) thread.join();
+
+  ASSERT_NE(leader.shared.result, nullptr);
+  ASSERT_TRUE(leader.shared.result->status.ok());
+  EXPECT_FALSE(leader.coalesced);
+  int coalesced = 0;
+  for (const SharedExecution& follower : followers) {
+    ASSERT_NE(follower.shared.result, nullptr);
+    if (!follower.coalesced) continue;  // Arrived after the leader retired.
+    ++coalesced;
+    EXPECT_EQ(follower.shared.result, leader.shared.result);
+    EXPECT_EQ(follower.shared.encoded, leader.shared.encoded);
+  }
+  EXPECT_GT(coalesced, 0);
+  EXPECT_EQ(engine.governor_counters().coalesced, coalesced);
+  EXPECT_EQ(EngineTestPeer::InFlightSize(engine), 0u);
 }
 
 }  // namespace

@@ -15,12 +15,14 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "server/api.h"
 #include "server/client.h"
 #include "server/registry.h"
+#include "syntax/parser.h"
 #include "util/json.h"
 
 namespace owlqr {
@@ -113,6 +115,94 @@ TEST_F(HttpServerTest, ExecuteRoundTripsThroughTheClient) {
   ASSERT_EQ(result.answers.size(), 2u);
   EXPECT_EQ(result.snapshot_version, 1u);
   EXPECT_GT(result.goal_tuples, 0);
+}
+
+// A body larger than the loopback send buffer's 4 MB ceiling: the server
+// sends it in pieces and the client reassembles it byte-identical to the
+// in-process encoding of the same execution.
+TEST_F(HttpServerTest, MultiMegabyteExecuteBodyRoundTripsByteIdentical) {
+  constexpr int kMembers = 120'000;
+  std::string data;
+  for (int i = 0; i < kMembers; ++i) {
+    data += "Member(individual_with_a_long_name_" + std::to_string(i) + ")\n";
+  }
+  std::shared_ptr<server::Tenant> tenant;
+  ASSERT_TRUE(
+      registry_->RegisterParsed("big", "Member SUB Person\n", data, &tenant)
+          .ok());
+  api::WireExecuteRequest request;
+  request.query = "q(x) :- Person(x)";
+
+  server::HttpClient client("127.0.0.1", server_->port());
+  int http_status = 0;
+  std::string body;
+  ASSERT_TRUE(client
+                  .Post("/v1/t/big/execute", api::ExecuteRequestToJson(request),
+                        &http_status, &body)
+                  .ok());
+  EXPECT_EQ(http_status, 200);
+  EXPECT_GE(body.size(), 4u << 20);
+  // The keep-alive connection stays usable after the large response (sent
+  // at once: the fixture closes idle connections after 300 ms).
+  api::WireExecuteRequest small;
+  small.query = kQuery;
+  api::WireExecuteResult result;
+  ASSERT_TRUE(client.Execute("uni", small, &result).ok());
+  EXPECT_EQ(result.answers.size(), 2u);
+
+  std::optional<ConjunctiveQuery> query =
+      ParseQuery(request.query, tenant->vocabulary(), nullptr);
+  ASSERT_TRUE(query.has_value());
+  PrepareResult prepared = tenant->engine()->Prepare(*query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status.ToString();
+  ExecuteResult in_process = tenant->engine()->Execute(*prepared.query);
+  ASSERT_EQ(in_process.answers.size(), static_cast<size_t>(kMembers));
+  const std::string expected =
+      api::ExecuteResultToJson(in_process, *tenant->vocabulary());
+  EXPECT_EQ(body.size(), expected.size());
+  EXPECT_TRUE(body == expected);  // Not EXPECT_EQ: no 4 MB failure dump.
+
+  // A reader that stalls past the server's send timeout: the first sendmsg
+  // returns short once the socket buffers fill, and the server resumes from
+  // where it stopped.  The stall (600 ms) sits between one and two send
+  // timeouts (400 ms), so the resumed call sees the reader drain.
+  server::HttpServerOptions options;
+  options.num_workers = 1;
+  options.io_timeout_ms = 400;
+  server::HttpServer slow_server(service_.get(), options);
+  ASSERT_TRUE(slow_server.Start().ok());
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  int rcvbuf = 64 << 10;  // Small, so the body cannot all sit in buffers.
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(slow_server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request_body = api::ExecuteRequestToJson(request);
+  const std::string raw = "POST /v1/t/big/execute HTTP/1.1\r\nHost: x\r\n"
+                          "Content-Length: " +
+                          std::to_string(request_body.size()) +
+                          "\r\nConnection: close\r\n\r\n" + request_body;
+  ASSERT_EQ(::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  std::string response;
+  char chunk[1 << 16];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  slow_server.Stop();
+  const size_t head_end = response.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos);
+  EXPECT_EQ(response.rfind("HTTP/1.1 200 ", 0), 0u);
+  EXPECT_EQ(response.size() - head_end - 4, expected.size());
+  EXPECT_TRUE(response.compare(head_end + 4, std::string::npos, expected) ==
+              0);
 }
 
 TEST_F(HttpServerTest, PrepareApplyFactsStatsOverOneConnection) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace owlqr {
 namespace {
@@ -36,6 +39,50 @@ TEST(JsonWriterTest, EscapesStrings) {
   EXPECT_EQ(w.str(),
             "{\"quote\\\"back\\\\slash\":\"line\\nbreak\\ttab\\rret\","
             "\"ctl\":\"\\u0001\"}");
+
+  // The run-at-once encoder must match the per-character one it replaced,
+  // byte for byte: every control byte, quote, backslash, DEL and UTF-8.
+  auto per_character = [](std::string_view in) {
+    std::string out = "\"";
+    for (char c : in) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
+          } else {
+            out.push_back(c);
+          }
+      }
+    }
+    return out + "\"";
+  };
+  std::vector<std::string> inputs = {"", "plain", "\"", "\\", "\x7f",
+                                     "caf\xc3\xa9", "\xe6\x97\xa5\xe6\x9c\xac",
+                                     "\xf0\x9f\x98\x80 smile",
+                                     "ab\"cd\\ef\x01gh\xc3\xa9\"\""};
+  std::string all_controls;
+  for (int b = 0; b < 0x20; ++b) {
+    inputs.push_back(std::string(1, static_cast<char>(b)));
+    inputs.push_back("x" + std::string(1, static_cast<char>(b)) + "y");
+    all_controls.push_back(static_cast<char>(b));
+  }
+  inputs.push_back(all_controls);
+  for (const std::string& in : inputs) {
+    std::string out;
+    AppendJsonString(&out, in);
+    EXPECT_EQ(out, per_character(in)) << "input bytes: " << in.size();
+  }
+  std::string nul;
+  AppendJsonString(&nul, std::string("a\0b\x1f", 4));
+  EXPECT_EQ(nul, "\"a\\u0000b\\u001f\"");
 }
 
 TEST(JsonWriterTest, NonFiniteDoublesClampToZero) {

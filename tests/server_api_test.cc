@@ -11,6 +11,8 @@
 
 #include "server/registry.h"
 #include "store/fs.h"
+#include "syntax/parser.h"
+#include "util/metrics.h"
 #include "util/json.h"
 #include "util/status.h"
 
@@ -448,6 +450,48 @@ TEST_F(ServiceTest, MetricsAlwaysReturnsTheTraceSkeleton) {
   EXPECT_NE(body.Find("counters"), nullptr);
   EXPECT_NE(body.Find("timers"), nullptr);
   EXPECT_NE(body.Find("spans"), nullptr);
+}
+
+// With the answer cache on, a hit's body is the miss's body with only
+// "cached" flipped, and the answers array behind both is encoded once.
+TEST_F(ServiceTest, HitBodyIsTheMissBodyEncodedOnce) {
+  server::RegistryOptions options;
+  options.engine.answer_cache_capacity = 16;
+  registry_ = std::make_unique<server::EngineRegistry>(options);
+  ASSERT_TRUE(registry_->RegisterParsed("uni", kOntology, kData).ok());
+  service_ = std::make_unique<api::Service>(registry_.get());
+  MetricsRegistry metrics;
+  MetricsRegistry::SetGlobal(&metrics);
+
+  api::WireExecuteRequest wire;
+  wire.query = kQuery;
+  const std::string request = api::ExecuteRequestToJson(wire);
+  api::Response miss = Call(api::Verb::kExecute, "uni", request);
+  api::Response hit = Call(api::Verb::kExecute, "uni", request);
+  api::Response again = Call(api::Verb::kExecute, "uni", request);
+  MetricsRegistry::SetGlobal(nullptr);
+  ASSERT_TRUE(miss.status.ok()) << miss.body;
+  ASSERT_TRUE(hit.status.ok()) << hit.body;
+
+  const std::string uncached = "\"cached\":false";
+  const std::string cached = "\"cached\":true";
+  ASSERT_NE(miss.body.find(uncached), std::string::npos) << miss.body;
+  std::string expected = miss.body;
+  expected.replace(expected.find(uncached), uncached.size(), cached);
+  EXPECT_EQ(hit.body, expected);
+  EXPECT_EQ(again.body, expected);
+  EXPECT_EQ(metrics.counter("engine/answer_cache_hit"), 2);
+  EXPECT_EQ(metrics.counter("api/answers_encoded"), 1);
+  // The body the copying path produces for the same hit is the same bytes.
+  std::shared_ptr<server::Tenant> tenant = registry_->Find("uni");
+  std::optional<ConjunctiveQuery> query =
+      ParseQuery(kQuery, tenant->vocabulary(), nullptr);
+  ASSERT_TRUE(query.has_value());
+  PrepareResult prepared = tenant->engine()->Prepare(*query);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(api::ExecuteResultToJson(tenant->engine()->Execute(*prepared.query),
+                                     *tenant->vocabulary()),
+            expected);
 }
 
 TEST(RegistryTest, DuplicateTBoxIsRejectedByFingerprint) {
