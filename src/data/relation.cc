@@ -48,10 +48,10 @@ inline uint64_t PackSmall(const int* tuple, int arity) {
 }  // namespace
 
 Rows::SlotBuffer::SlotBuffer(size_t n)
-    : data(static_cast<SmallSlot*>(std::calloc(n, sizeof(SmallSlot)))),
-      size(n) {
-  OWLQR_CHECK_MSG(n == 0 || data != nullptr, "dedup table allocation failed");
-}
+    : data(n == 0 ? nullptr
+                  : static_cast<SmallSlot*>(BufferPool::Global().Allocate(
+                        n * sizeof(SmallSlot), /*zeroed=*/true))),
+      size(n) {}
 
 Rows::SlotBuffer::SlotBuffer(const SlotBuffer& o) : SlotBuffer(o.size) {
   if (o.size != 0) std::memcpy(data, o.data, o.size * sizeof(SmallSlot));
@@ -64,7 +64,7 @@ Rows::SlotBuffer& Rows::SlotBuffer::operator=(const SlotBuffer& o) {
 
 Rows::SlotBuffer& Rows::SlotBuffer::operator=(SlotBuffer&& o) noexcept {
   if (this != &o) {
-    std::free(data);
+    BufferPool::Global().Release(data, size * sizeof(SmallSlot));
     data = o.data;
     size = o.size;
     o.data = nullptr;
@@ -73,7 +73,9 @@ Rows::SlotBuffer& Rows::SlotBuffer::operator=(SlotBuffer&& o) noexcept {
   return *this;
 }
 
-Rows::SlotBuffer::~SlotBuffer() { std::free(data); }
+Rows::SlotBuffer::~SlotBuffer() {
+  BufferPool::Global().Release(data, size * sizeof(SmallSlot));
+}
 
 Rows& Rows::operator=(Rows&& o) noexcept {
   if (this != &o) {
@@ -296,6 +298,7 @@ void Rows::SetMaxRowsForTest(size_t max_rows) {
 }
 
 void Rows::RehashSmall(size_t capacity) {
+  if (num_rows_ > 0) OWLQR_COUNT("relation/rehash", 1);
   SlotBuffer old = std::move(small_);
   small_ = SlotBuffer(capacity);
   size_t mask = capacity - 1;
@@ -323,6 +326,19 @@ void Rows::Reserve(size_t expected_rows) {
   size_t capacity = 64;
   while (capacity < needed) capacity <<= 1;
   if (capacity > small_.size) RehashSmall(capacity);
+}
+
+void Rows::ReserveRows(size_t rows) {
+  if (arity == 0 || store_ != nullptr) return;
+  size_t capacity = 64;
+  while (capacity < rows * 2) capacity <<= 1;
+  if (arity <= 2) {
+    if (capacity > small_.size) RehashSmall(capacity);
+  } else if (capacity > slots_.size()) {
+    RehashWide(capacity);
+  }
+  cells_.reserve(rows * static_cast<size_t>(arity));
+  base_ = cells_.data();
 }
 
 void Rows::AdoptColumn(int arity_in, const int* column, size_t num_rows) {
@@ -441,7 +457,11 @@ RowStore::RowStore(int arity, size_t min_rows)
 }
 
 void Rows::GrowWide() {
-  size_t capacity = slots_.empty() ? 64 : slots_.size() * 2;
+  RehashWide(slots_.empty() ? 64 : slots_.size() * 2);
+}
+
+void Rows::RehashWide(size_t capacity) {
+  if (num_rows_ > 0) OWLQR_COUNT("relation/rehash", 1);
   slots_.assign(capacity, 0);
   size_t mask = capacity - 1;
   for (size_t r = 0; r < num_rows_; ++r) {
@@ -486,7 +506,7 @@ bool BuildHashIndex(const Rows& rows, unsigned mask, HashIndex* index,
   index->ends.assign(capacity, 0);
   bool complete = true;
   // Pass 1: claim a slot per distinct key hash and count its rows.
-  std::vector<uint32_t> row_hash;
+  PooledVector<uint32_t> row_hash;
   row_hash.reserve(rows.size());
   std::vector<int> key_values;
   for (size_t r = 0; r < rows.size(); ++r) {

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/buffer_pool.h"
+
 namespace owlqr {
 
 class RowStore;
@@ -165,6 +167,12 @@ struct Rows {
   // (bounded, so a wildly selective join cannot over-allocate; a relation
   // that outgrows the hint just resumes doubling).
   void Reserve(size_t expected_rows);
+  // Sizes the relation for exactly `rows` rows, unbounded: the dedup table
+  // at the power of two those rows need and the cells arena at rows *
+  // arity, so a relation whose final size is known (an earlier run's, from
+  // the plan) is built without one rehash or arena regrowth.  A relation
+  // that outgrows it resumes doubling.
+  void ReserveRows(size_t rows);
 
   // Bulk load for the durable store's columnar segments: adopts `num_rows`
   // row-major tuples that are KNOWN distinct (a segment column is the
@@ -215,10 +223,12 @@ struct Rows {
     uint32_t hash32 = 0;  // Low 32 bits of the tuple hash.
   };
 
-  // Zero-initialised slot array allocated with calloc: for the table
-  // sizes a Reserve hint creates, the allocator hands back lazily zeroed
-  // pages, so sizing a big table does not pay an eager memset over slots
-  // that may never be touched (a std::vector fill would).
+  // Zero-initialised slot array from BufferPool (util/buffer_pool.h).  A
+  // large table is a recycled block, already faulted in and cleared over
+  // just its own bytes, or a fresh calloc block, whose pages stay lazily
+  // zeroed when calloc takes them from a fresh mapping: sizing a big table
+  // does not pay an eager memset over slots that may never be touched (a
+  // std::vector fill would).  Small tables come from calloc directly.
   struct SlotBuffer {
     SlotBuffer() = default;
     explicit SlotBuffer(size_t n);
@@ -247,13 +257,14 @@ struct Rows {
   void AppendCells(const int* tuple);
   void RehashSmall(size_t capacity);
   void GrowSmall();
+  void RehashWide(size_t capacity);
   void GrowWide();
 
-  std::vector<int> cells_;          // The arena of an owning Rows.
+  PooledVector<int> cells_;         // The arena of an owning Rows.
   const int* base_ = nullptr;       // cells_.data(), or the store's arena.
   size_t num_rows_ = 0;
   bool at_row_ceiling_ = false;     // A ceiling refusal happened; see Insert.
-  std::vector<uint32_t> slots_;     // Arity >= 3; power of two; 0 = empty.
+  PooledVector<uint32_t> slots_;    // Arity >= 3; power of two; 0 = empty.
   SlotBuffer small_;                // Arity 1-2; power-of-two sized.
   std::shared_ptr<RowStore> store_;  // Set iff this is a view.
 };
@@ -299,12 +310,13 @@ class RowStore {
 // Keys are matched by the low 32 hash bits only (0 remapped to 1 as the
 // empty marker) — sound because index consumers already treat a hash
 // match as a candidate and verify the key positions against the row.
+// The arrays live in BufferPool blocks, like the relations they index.
 struct HashIndex {
-  size_t mask = 0;                // slots - 1.
-  std::vector<uint32_t> hashes;   // 0 = empty slot.
-  std::vector<uint32_t> starts;   // Slot -> first candidate in `ids`.
-  std::vector<uint32_t> ends;     // Slot -> one past the last candidate.
-  std::vector<uint32_t> ids;      // Row ids, grouped by key, row order.
+  size_t mask = 0;                  // slots - 1.
+  PooledVector<uint32_t> hashes;    // 0 = empty slot.
+  PooledVector<uint32_t> starts;    // Slot -> first candidate in `ids`.
+  PooledVector<uint32_t> ends;      // Slot -> one past the last candidate.
+  PooledVector<uint32_t> ids;       // Row ids, grouped by key, row order.
 
   // Heap bytes held by the index's four flat arrays (capacities, matching
   // Rows::MemoryBytes), for probe-index memory accounting.

@@ -11,7 +11,8 @@ PreparedQuery::PreparedQuery(NdlProgram program, RewriterKind kind,
       kind_(kind),
       diag_(std::move(diag)),
       cache_key_(std::move(cache_key)),
-      hints_(static_cast<size_t>(program_.num_clauses())) {
+      hints_(static_cast<size_t>(program_.num_clauses()),
+             static_cast<size_t>(program_.num_predicates())) {
   // Force the program's lazy analyses now, single-threaded: executions share
   // this program const and must never trigger a first (mutating) compute.
   if (program_.num_predicates() > 0) program_.ClausesFor(0);

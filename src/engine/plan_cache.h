@@ -51,8 +51,9 @@ class PreparedQuery {
   const RewriteDiagnostics& diag() const { return diag_; }
   const std::string& cache_key() const { return cache_key_; }
 
-  // Shared join-order capture slots (see JoinOrderHints): logically part of
-  // the plan, filled by the first execution of each clause.
+  // Shared plan hints (see JoinOrderHints): logically part of the plan.
+  // The first execution of each clause fills its join order; every clean
+  // run records its IDB relation sizes for the next one.
   JoinOrderHints* join_order_hints() const { return &hints_; }
 
  private:

@@ -199,6 +199,26 @@ const HashIndex& Evaluator::GetIndex(int predicate, unsigned mask) {
   return slot->index;
 }
 
+void Evaluator::ReserveFromHint(int predicate) {
+  if (hints_ == nullptr) return;
+  OWLQR_CHECK_MSG(predicate < static_cast<int>(hints_->rows.size()),
+                  "plan hints sized for a different program");
+  const size_t stored =
+      hints_->rows[predicate].load(std::memory_order_relaxed);
+  if (stored == 0) return;
+  size_t rows = stored - 1;
+  if (limits_.max_generated_tuples > 0) {
+    rows = std::min(rows, static_cast<size_t>(limits_.max_generated_tuples));
+  }
+  PredicateState& state = *preds_[predicate];
+  state.rows.ReserveRows(rows);
+  state.presized = true;
+  OWLQR_RECORD("evaluator/reserved_rows", static_cast<double>(rows));
+  // The relation was empty, so everything it holds now is this delta.
+  size_t charged = 0;
+  ChargeRowsDelta(state.rows, &charged);
+}
+
 void Evaluator::Materialize(int predicate, JoinContext* ctx) {
   Rows& rows = preds_[predicate]->rows;
   if (rows.materialized || !program_.IsIdb(predicate)) return;
@@ -210,6 +230,7 @@ void Evaluator::Materialize(int predicate, JoinContext* ctx) {
       }
     }
   }
+  ReserveFromHint(predicate);
   for (int ci : program_.ClausesFor(predicate)) {
     EvaluateClause(ci, ctx, &rows);
   }
@@ -624,12 +645,21 @@ void Evaluator::RunJoin(const ClausePlan& plan, JoinContext* ctx,
   ctx->out = out;
   ctx->charged_bytes = out->MemoryBytes();
   if (!plan.steps.empty() && plan.steps[0].rows != nullptr &&
-      plan.steps[0].mask == 0) {
+      plan.steps[0].mask == 0 &&
+      !preds_[plan.clause->head.predicate]->presized) {
     // A scan-driven clause usually emits on the order of its driver range;
     // hint the dedup table so it skips the doubling cascade (Reserve bounds
-    // the hint, so selective clauses cannot over-allocate).
-    const size_t driver_rows = plan.steps[0].rows->size();
-    if (driver_rows > 0) out->Reserve(out->size() + driver_rows);
+    // the hint, so selective clauses cannot over-allocate).  A relation
+    // already sized from the plan's hint knows better.
+    size_t rows = out->size() + plan.steps[0].rows->size();
+    if (limits_.max_generated_tuples > 0) {
+      rows = std::min(rows,
+                      static_cast<size_t>(limits_.max_generated_tuples));
+    }
+    if (rows > out->size()) {
+      OWLQR_RECORD("evaluator/reserved_rows", static_cast<double>(rows));
+      out->Reserve(rows);
+    }
   }
   if (plan.batch_compiled) {
     // Vector-at-a-time path: expansion is row-major and in driver order, so
@@ -1330,6 +1360,7 @@ void Evaluator::RunPredicateTask(Scheduler* sched, int predicate) {
   const bool metrics = OWLQR_METRICS_ENABLED();
   const auto task_start = std::chrono::steady_clock::now();
   Rows& out = preds_[predicate]->rows;
+  ReserveFromHint(predicate);
   // One context for every clause of the task: the batch scratch keeps its
   // capacity across plans, so only the first clause pays the allocations.
   JoinContext ctx;
@@ -1401,6 +1432,9 @@ void Evaluator::FinishResult(ExecuteResult* result) const {
   }
   stats->index_builds = index_builds_.load();
   stats->predicate_tuples.assign(program_.num_predicates(), 0);
+  // Only a clean, complete run's sizes are worth building the next run's
+  // relations for; a truncated one would undersize them.
+  JoinOrderHints* size_hints = stats->aborted ? nullptr : hints_;
   for (int p = 0; p < program_.num_predicates(); ++p) {
     const Rows& rows = preds_[p]->rows;
     if (program_.IsIdb(p) && rows.materialized) {
@@ -1408,6 +1442,9 @@ void Evaluator::FinishResult(ExecuteResult* result) const {
       stats->predicate_tuples[p] = count;
       stats->generated_tuples += count;
       ++stats->predicates_evaluated;
+      if (size_hints != nullptr) {
+        size_hints->rows[p].store(rows.size() + 1, std::memory_order_relaxed);
+      }
     }
   }
   stats->goal_tuples = static_cast<long>(result->answers.size());

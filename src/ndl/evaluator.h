@@ -162,7 +162,8 @@ struct ExecuteResult {
   size_t MemoryBytes() const;
 };
 
-// Join-order hints shared across executions of one prepared program.
+// Plan hints shared across executions of one prepared program: join orders
+// and relation sizes.
 //
 // The greedy atom order is data-dependent (it scores atoms by relation
 // size), so it cannot be compiled into the immutable PreparedQuery at
@@ -172,6 +173,13 @@ struct ExecuteResult {
 // scoring pass.  call_once makes the capture race-free under concurrent
 // executions; any order is *correct* (bind/check/head codes are recompiled
 // from the order per plan), a stale one is at worst suboptimal.
+//
+// rows[p] is IDB predicate p's row count at the end of the latest clean,
+// complete run, plus one (0: no such run yet).  The next full evaluation
+// sizes p's dedup table and cells arena for that count before p's first
+// clause runs, so an unchanged snapshot builds every relation without a
+// rehash.  Relaxed atomics: a count is only a sizing hint, and a stale or
+// racing one costs at most a rehash or some slack.
 struct JoinOrderHints {
   struct Slot {
     std::once_flag once;
@@ -179,8 +187,11 @@ struct JoinOrderHints {
   };
   // One slot per program clause index.
   std::vector<Slot> slots;
+  // One count per program predicate id (see above).
+  std::vector<std::atomic<size_t>> rows;
 
-  explicit JoinOrderHints(size_t num_clauses) : slots(num_clauses) {}
+  JoinOrderHints(size_t num_clauses, size_t num_predicates)
+      : slots(num_clauses), rows(num_predicates) {}
   JoinOrderHints(const JoinOrderHints&) = delete;
   JoinOrderHints& operator=(const JoinOrderHints&) = delete;
 };
@@ -263,9 +274,10 @@ class Evaluator {
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  // Installs shared join-order hints (not owned; must outlive the
-  // evaluator and be sized to the program's clause count).  Must be called
-  // before evaluation starts.
+  // Installs shared plan hints (not owned; must outlive the evaluator and
+  // be sized to the program's clauses and predicates).  Run takes join
+  // orders and relation sizes from them; a clean run of either path
+  // records its relation sizes.  Must be called before evaluation starts.
   void set_join_order_hints(JoinOrderHints* hints) { hints_ = hints; }
 
   // Installs the per-execution memory account (not owned; must outlive the
@@ -316,6 +328,9 @@ class Evaluator {
  private:
   struct PredicateState {
     Rows rows;
+    // Sized from the plan's row-count hint before its first clause ran;
+    // the driver-range Reserve of RunJoin then stays out of the way.
+    bool presized = false;
     std::mutex slot_mutex;            // Guards the shape of `slots`.
     std::unordered_map<unsigned, std::unique_ptr<IndexSlot>> slots;
   };
@@ -534,6 +549,9 @@ class Evaluator {
   // Charges the growth of `rows` since `charged_bytes` (updating it) and
   // folds in the row-ceiling flag; returns false iff evaluation must abort.
   bool ChargeRowsDelta(const Rows& rows, size_t* charged_bytes);
+  // Sizes `predicate`'s relation from the plan's row-count hint, if there
+  // is one (capped at max_generated_tuples), and charges the allocation.
+  void ReserveFromHint(int predicate);
   // Materialises `predicate` (dependencies first); `ctx` is the join
   // context shared by the whole sequential evaluation so the batch scratch
   // is allocated once, not once per clause.
@@ -620,6 +638,8 @@ class Evaluator {
   const Rows& RowsFor(int predicate);
   // Sorts the goal relation into `result->answers`, fills its stats,
   // version and partial flag, and names the abort cause in its status.
+  // After a clean, complete run it records every materialised IDB
+  // relation's size in the plan's hints.
   void FinishResult(ExecuteResult* result) const;
 
   const NdlProgram& program_;

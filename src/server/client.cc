@@ -68,14 +68,22 @@ Status HttpClient::Connect() {
   return Status::Ok();
 }
 
-Status HttpClient::RoundTrip(const std::string& request, int* http_status,
-                             std::string* body) {
+Status HttpClient::RoundTrip(const std::string& request, bool idempotent,
+                             int* http_status, std::string* body) {
+  // A connection already open when the call starts may have been closed by
+  // the server while idle (its header timeout).  Then the send can still
+  // succeed and only the receive sees the close, before any response byte.
+  // Such a request almost surely never reached a handler, but the client
+  // cannot tell that from a close after the handler ran, so only an
+  // idempotent request is sent again, once, on a fresh connection.
+  bool may_retry = fd_ >= 0 && idempotent;
   Status status = Connect();
   if (!status.ok()) return status;
   if (!SendAll(fd_, request)) {
     // A stale keep-alive connection the server already closed: reconnect
     // and retry once before reporting the failure.
     Disconnect();
+    may_retry = false;
     status = Connect();
     if (!status.ok()) return status;
     if (!SendAll(fd_, request)) {
@@ -91,6 +99,9 @@ Status HttpClient::RoundTrip(const std::string& request, int* http_status,
     ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) {
       Disconnect();
+      if (may_retry && buf.empty()) {
+        return RoundTrip(request, /*idempotent=*/false, http_status, body);
+      }
       return Status::Rejected("connection closed before response head");
     }
     buf.append(chunk, static_cast<size_t>(n));
@@ -148,7 +159,7 @@ Status HttpClient::Get(const std::string& path, int* http_status,
                        std::string* body) {
   std::string request = "GET " + path + " HTTP/1.1\r\nHost: " + host_ +
                         "\r\nConnection: keep-alive\r\n\r\n";
-  return RoundTrip(request, http_status, body);
+  return RoundTrip(request, /*idempotent=*/true, http_status, body);
 }
 
 Status HttpClient::Post(const std::string& path,
@@ -159,7 +170,14 @@ Status HttpClient::Post(const std::string& path,
                         "Content-Length: " +
                         std::to_string(request_body.size()) +
                         "\r\nConnection: keep-alive\r\n\r\n" + request_body;
-  return RoundTrip(request, http_status, body);
+  // Of the POST endpoints only execute is retried: it only reads, while
+  // an apply-facts must never be applied twice.
+  const std::string_view kExecute = "/execute";
+  const bool idempotent =
+      path.size() >= kExecute.size() &&
+      path.compare(path.size() - kExecute.size(), kExecute.size(),
+                   kExecute) == 0;
+  return RoundTrip(request, idempotent, http_status, body);
 }
 
 Status HttpClient::StatusFromResponse(int http_status,

@@ -9,7 +9,9 @@
 // concurrent callers each construct their own (the soak test runs one per
 // worker thread).  The connection is (re-)established lazily on the first
 // call and after any transport error, so a server restart costs one failed
-// call, not a dead client.
+// call, not a dead client.  A GET or execute sent on a keep-alive
+// connection the server has since closed as idle is retried once on a
+// fresh one; other requests are not resent.
 //
 // Status discipline: transport failures (connect/send/recv) come back as
 // kRejected — the retryable class — with a message naming the syscall.
@@ -58,8 +60,10 @@ class HttpClient {
   void Disconnect();
 
  private:
-  Status RoundTrip(const std::string& request, int* http_status,
-                   std::string* body);
+  // `idempotent` requests (GET and execute) are retried once on a fresh
+  // connection when the server closed a reused idle one before answering.
+  Status RoundTrip(const std::string& request, bool idempotent,
+                   int* http_status, std::string* body);
   Status Connect();
   // Reconstructs the application Status from a non-2xx response body.
   static Status StatusFromResponse(int http_status, const std::string& body);

@@ -231,6 +231,39 @@ TEST_F(HttpServerTest, PrepareApplyFactsStatsOverOneConnection) {
   EXPECT_GE(counters.admitted, 1);
 }
 
+// The server closes a keep-alive connection that stays idle past
+// header_timeout_ms.  The client's next send still succeeds and only the
+// receive sees the close: an execute or a GET then goes out again on a
+// fresh connection, while an apply-facts is never resent.
+TEST_F(HttpServerTest, ClientSurvivesAnIdleClose) {
+  server::HttpClient client("127.0.0.1", server_->port());
+  api::WireExecuteRequest request;
+  request.query = kQuery;
+  api::WireExecuteResult result;
+  ASSERT_TRUE(client.Execute("uni", request, &result).ok());
+  ASSERT_EQ(result.answers.size(), 2u);
+
+  // Past the fixture's 300 ms header timeout, on the same client.
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  Status status = client.Execute("uni", request, &result);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(result.answers.size(), 2u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  QueryGovernor::Counters counters;
+  status = client.Stats("uni", &counters);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  api::WireFactBatch batch;
+  batch.roles.push_back({"lectures", "carol", "logic"});
+  status = client.ApplyFacts("uni", batch);
+  EXPECT_EQ(status.code(), StatusCode::kRejected) << status.ToString();
+  // Not applied behind the caller's back: the version did not move.
+  ASSERT_TRUE(client.Execute("uni", request, &result).ok());
+  EXPECT_EQ(result.snapshot_version, 1u);
+}
+
 TEST_F(HttpServerTest, UnknownTenantAndPathAre404) {
   server::HttpClient client("127.0.0.1", server_->port());
   api::WireExecuteRequest request;

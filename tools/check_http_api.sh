@@ -35,8 +35,8 @@ python3 - "$tmp/data.txt" <<'EOF'
 import sys
 with open(sys.argv[1], "w") as f:
     for c in range(4):
-        for i in range(25):
-            f.write(f"lectures(p{c * 25 + i}, c{c}).\n")
+        for i in range(40):
+            f.write(f"lectures(p{c * 40 + i}, c{c}).\n")
     f.write("Professor(solo).\n")
 EOF
 
