@@ -18,6 +18,7 @@ PreparedQuery::PreparedQuery(NdlProgram program, RewriterKind kind,
   if (program_.num_predicates() > 0) program_.ClausesFor(0);
   program_.CachedTopologicalOrder();
   program_.IdbDependencies();
+  program_.Renames();
 }
 
 namespace {

@@ -31,6 +31,8 @@ Evaluator::~Evaluator() = default;
 void Evaluator::Init() {
   OWLQR_CHECK_MSG(program_.IsNonrecursive(), "program must be nonrecursive");
   const int n = program_.num_predicates();
+  renames_ = &program_.Renames();
+  view_tuples_.assign(n, 0);
   preds_.reserve(n);
   snapshot_rel_.assign(n, nullptr);
   for (int p = 0; p < n; ++p) {
@@ -230,11 +232,53 @@ void Evaluator::Materialize(int predicate, JoinContext* ctx) {
       }
     }
   }
-  ReserveFromHint(predicate);
-  for (int ci : program_.ClausesFor(predicate)) {
-    EvaluateClause(ci, ctx, &rows);
+  const int root = renames_->root[predicate];
+  if (root >= 0) {
+    CreditRename(predicate, RowsFor(root).size(), ctx);
+  } else {
+    ReserveFromHint(predicate);
+    for (int ci : program_.ClausesFor(predicate)) {
+      EvaluateClause(ci, ctx, &rows);
+    }
   }
   rows.materialized = true;
+}
+
+void Evaluator::CreditRename(int predicate, size_t n, JoinContext* ctx) {
+  // Mirrors EvaluateClause, which does nothing once the run has aborted.
+  if (aborted_.load(std::memory_order_relaxed)) return;
+  // The copy would insert its source's rows one by one, every emission a
+  // new tuple (the rows are distinct and the permutation is a bijection),
+  // and FlushLimits would stop it on the first emission that takes a
+  // counter past its limit.
+  long credit = static_cast<long>(n);
+  if (limits_.max_work > 0) {
+    credit = std::min(credit, limits_.max_work -
+                                  work_.load(std::memory_order_relaxed) + 1);
+  }
+  if (limits_.max_generated_tuples > 0) {
+    credit = std::min(credit,
+                      limits_.max_generated_tuples -
+                          idb_tuples_.load(std::memory_order_relaxed) + 1);
+  }
+  credit = std::max<long>(credit, 0);
+  const long work =
+      work_.fetch_add(credit, std::memory_order_relaxed) + credit;
+  const long tuples =
+      idb_tuples_.fetch_add(credit, std::memory_order_relaxed) + credit;
+  if ((limits_.max_work > 0 && work > limits_.max_work) ||
+      (limits_.max_generated_tuples > 0 &&
+       tuples > limits_.max_generated_tuples)) {
+    aborted_.store(true, std::memory_order_relaxed);
+  }
+  view_tuples_[predicate] += credit;
+  // The countdown was armed against the totals before this credit; the
+  // next emission flushes and re-arms it against the current ones.
+  if (ctx != nullptr) ctx->flush_countdown = 0;
+  if (MetricsRegistry* metrics = MetricsRegistry::Global()) {
+    metrics->Count("evaluator/join_emissions", credit);
+    metrics->Count("evaluator/new_tuples", credit);
+  }
 }
 
 std::vector<int> Evaluator::ComputeJoinOrder(const NdlClause& clause) {
@@ -297,7 +341,7 @@ void Evaluator::ExtendJoinOrderGreedy(const NdlClause& clause,
 }
 
 Evaluator::ClausePlan Evaluator::BuildPlan(int ci) {
-  const NdlClause& clause = program_.clause(ci);
+  const NdlClause& clause = PlanClause(ci);
 
   // The join order: from the shared hints when installed — the first
   // execution to plan this clause records the greedy order under the
@@ -324,7 +368,7 @@ Evaluator::ClausePlan Evaluator::BuildPlan(int ci) {
 
 Evaluator::ClausePlan Evaluator::BuildDeltaPlan(
     int ci, int driven_atom, const std::vector<Rows>& delta_rows) {
-  const NdlClause& clause = program_.clause(ci);
+  const NdlClause& clause = PlanClause(ci);
   std::vector<bool> used(clause.body.size(), false);
   int num_vars = 0;
   for (const NdlAtom& atom : clause.body) {
@@ -1136,7 +1180,7 @@ void Evaluator::FlushBatchMetrics(JoinContext* ctx) {
 
 void Evaluator::EvaluateClause(int ci, JoinContext* ctx, Rows* out) {
   if (aborted_.load(std::memory_order_relaxed)) return;
-  const NdlClause& clause = program_.clause(ci);
+  const NdlClause& clause = PlanClause(ci);
   ClausePlan plan = BuildPlan(ci);
   if (MetricsRegistry* metrics = MetricsRegistry::Global()) {
     ScopedSpan span(metrics, "evaluate/join");
@@ -1360,12 +1404,18 @@ void Evaluator::RunPredicateTask(Scheduler* sched, int predicate) {
   const bool metrics = OWLQR_METRICS_ENABLED();
   const auto task_start = std::chrono::steady_clock::now();
   Rows& out = preds_[predicate]->rows;
-  ReserveFromHint(predicate);
-  // One context for every clause of the task: the batch scratch keeps its
-  // capacity across plans, so only the first clause pays the allocations.
-  JoinContext ctx;
-  for (int ci : program_.ClausesFor(predicate)) {
-    EvaluateClause(ci, &ctx, &out);
+  const int root = renames_->root[predicate];
+  if (root >= 0) {
+    // The root finished before this task started (the DAG orders them).
+    CreditRename(predicate, RowsFor(root).size(), nullptr);
+  } else {
+    ReserveFromHint(predicate);
+    // One context for every clause of the task: the batch scratch keeps its
+    // capacity across plans, so only the first clause pays the allocations.
+    JoinContext ctx;
+    for (int ci : program_.ClausesFor(predicate)) {
+      EvaluateClause(ci, &ctx, &out);
+    }
   }
   out.materialized = true;
   scheduler_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -1438,12 +1488,16 @@ void Evaluator::FinishResult(ExecuteResult* result) const {
   for (int p = 0; p < program_.num_predicates(); ++p) {
     const Rows& rows = preds_[p]->rows;
     if (program_.IsIdb(p) && rows.materialized) {
-      long count = static_cast<long>(rows.size());
+      // A rename holds no rows; it counts what it was credited.
+      const long count = renames_->root[p] >= 0
+                             ? view_tuples_[p]
+                             : static_cast<long>(rows.size());
       stats->predicate_tuples[p] = count;
       stats->generated_tuples += count;
       ++stats->predicates_evaluated;
       if (size_hints != nullptr) {
-        size_hints->rows[p].store(rows.size() + 1, std::memory_order_relaxed);
+        size_hints->rows[p].store(static_cast<size_t>(count) + 1,
+                                  std::memory_order_relaxed);
       }
     }
   }
@@ -1589,6 +1643,15 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
     delta_charged[p] = seeds.MemoryBytes();
     ChargeMemory(delta_charged[p]);
   }
+  // A rename's count carries over from `version`, where it was its root's
+  // size; the propagation below credits it with the root's delta.
+  for (int p = 0; p < n; ++p) {
+    const int root = renames_->root[p];
+    if (root < 0) continue;
+    view_tuples_[p] = static_cast<long>(program_.IsIdb(root)
+                                            ? state->idb_rows[root].size()
+                                            : state->edb_rows[root]);
+  }
 
   // Adopt the retained extensions: they become this evaluator's IDB
   // relations, warm probe indexes included.  Their bytes stay charged to
@@ -1617,10 +1680,22 @@ ExecuteResult Evaluator::RunDelta(const ExecuteRequest& request,
     // Outside the retained goal closure: the full run never materialised
     // it, so nothing downstream of the goal can read it.
     if (!full.materialized) continue;
+    const int root = renames_->root[p];
+    if (root >= 0) {
+      // The copy's clause would be driven by its source's delta, whose
+      // size is the root's; downstream clauses read the root's delta.
+      const size_t root_delta = delta_rows[root].size();
+      if (root_delta > 0) {
+        const long before = view_tuples_[p];
+        CreditRename(p, root_delta, &ctx);
+        delta_derived += view_tuples_[p] - before;
+      }
+      continue;
+    }
     Rows* dout = &delta_rows[p];
     ctx.delta_out = dout;
     for (int ci : program_.ClausesFor(p)) {
-      const NdlClause& clause = program_.clause(ci);
+      const NdlClause& clause = PlanClause(ci);
       for (size_t ai = 0; ai < clause.body.size(); ++ai) {
         if (aborted_.load(std::memory_order_relaxed)) break;
         if (delta_rows[clause.body[ai].predicate].size() == 0) continue;

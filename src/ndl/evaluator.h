@@ -21,7 +21,11 @@ namespace owlqr {
 
 struct EvaluationStats {
   // Total tuples materialised across all evaluated IDB predicates (the
-  // "generated tuples" column of the paper's Tables 3-5).
+  // "generated tuples" column of the paper's Tables 3-5).  A rename
+  // predicate (see RenameAnalysis) is read as a view of its root and holds
+  // no rows, but counts what copying its root would have materialised, so
+  // this total, predicate_tuples and join_emissions are those of the
+  // program evaluated clause by clause.
   long generated_tuples = 0;
   long goal_tuples = 0;
   int predicates_evaluated = 0;
@@ -44,7 +48,9 @@ struct EvaluationStats {
   long memory_high_water = 0;
   // Number of (predicate, bound-position mask) hash indexes built by this
   // execution (shared snapshot-cache hits are not counted: the request did
-  // not pay for them).
+  // not pay for them).  Probes of a rename predicate use its root's index:
+  // the snapshot's shared one for an EDB root, and one index per mask for
+  // an IDB root and all its renames.
   long index_builds = 0;
   // Per-predicate materialised tuple counts, indexed by predicate id
   // (zero for EDB and unevaluated predicates).
@@ -253,6 +259,11 @@ struct RetainedIdbState {
 // data version alive even after the engine swaps in a newer one.  Plain
 // instances, and the mapping layer's source tables, are evaluated by
 // freezing them first (DataSnapshot::FromInstance).
+//
+// Rename predicates (see RenameAnalysis) are views, not relations: plans
+// are compiled from the resolved clause bodies, so they read a rename's
+// root directly, and the rename itself is only credited the counts of the
+// copy it stands for (CreditRename).
 //
 // Parallel evaluation (Run with num_threads > 1) is barrier-free: every IDB
 // predicate the goal depends on becomes a task with an atomic
@@ -552,10 +563,24 @@ class Evaluator {
   // Sizes `predicate`'s relation from the plan's row-count hint, if there
   // is one (capped at max_generated_tuples), and charges the allocation.
   void ReserveFromHint(int predicate);
+  // Evaluates rename `predicate` as a view over its root, whose `n` rows
+  // (its delta rows, in RunDelta) the rename's clause would have copied:
+  // no join, no rows, no memory.  Credits n emissions and n new tuples —
+  // cut, under a tuple or work limit, at the emission on which the copy
+  // would have aborted, min(n, remaining + 1), aborting there — to the
+  // run's counters and the metrics registry, and re-arms `ctx`'s limit
+  // countdown (nullable) against the new totals.  No-op once aborted.
+  void CreditRename(int predicate, size_t n, JoinContext* ctx);
   // Materialises `predicate` (dependencies first); `ctx` is the join
   // context shared by the whole sequential evaluation so the batch scratch
   // is allocated once, not once per clause.
   void Materialize(int predicate, JoinContext* ctx);
+  // The clause plans are compiled from: clause `ci` with its body atoms over
+  // renames resolved to their roots (RenameAnalysis::resolved).
+  const NdlClause& PlanClause(int ci) const {
+    const int slot = renames_->resolved_slot[ci];
+    return slot < 0 ? program_.clause(ci) : renames_->resolved[slot];
+  }
   // The greedy join order of `clause` (body atom indexes, best-first),
   // scored against current relation sizes.
   std::vector<int> ComputeJoinOrder(const NdlClause& clause);
@@ -649,6 +674,10 @@ class Evaluator {
   // predicates, equality, and EDB predicates the snapshot has no facts
   // for — those read the empty, materialised local relation).
   std::vector<const EdbRelation*> snapshot_rel_;
+  // The program's renames (resolved in Init) and, per rename, the tuples
+  // credited to it (see CreditRename); written only by the rename's task.
+  const RenameAnalysis* renames_ = nullptr;
+  std::vector<long> view_tuples_;
   JoinOrderHints* hints_ = nullptr;  // Not owned; may be null.
   EvaluatorLimits limits_;
   std::shared_ptr<const CancelToken> cancel_;  // May be null.

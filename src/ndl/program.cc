@@ -136,6 +136,7 @@ void NdlProgram::InvalidateAnalyses() {
   clause_index_valid_ = false;
   topo_order_valid_ = false;
   idb_deps_valid_ = false;
+  renames_valid_ = false;
 }
 
 void NdlProgram::BuildClauseIndex() const {
@@ -228,6 +229,115 @@ const std::vector<std::vector<int>>& NdlProgram::IdbDependencies() const {
     idb_deps_valid_ = true;
   }
   return idb_deps_;
+}
+
+namespace {
+
+// True iff `atom`'s arguments are pairwise distinct variables.
+bool DistinctVariables(const NdlAtom& atom) {
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    if (atom.args[i].is_constant) return false;
+    for (size_t j = 0; j < i; ++j) {
+      if (atom.args[j].value == atom.args[i].value) return false;
+    }
+  }
+  return true;
+}
+
+// `rename`'s body atom with the head's variables replaced by `atom`'s
+// arguments: the atom `atom` (over the rename's head predicate) reads.
+NdlAtom ThroughRename(const NdlClause& rename, const NdlAtom& atom) {
+  const NdlAtom& source = rename.body[0];
+  NdlAtom out{source.predicate, {}};
+  out.args.reserve(source.args.size());
+  for (const Term& t : source.args) {
+    size_t i = 0;
+    while (rename.head.args[i].value != t.value) ++i;
+    out.args.push_back(atom.args[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+const RenameAnalysis& NdlProgram::Renames() const {
+  const int n = num_predicates();
+  if (renames_valid_ && static_cast<int>(renames_.root.size()) == n) {
+    return renames_;
+  }
+  if (clauses_for_.size() != static_cast<size_t>(n)) {
+    clause_index_valid_ = false;  // Predicates were added since it was built.
+  }
+  BuildClauseIndex();
+  // Candidates: the single clause of a non-goal IDB predicate that copies
+  // one regular atom with distinct variables into a permutation of them.
+  std::vector<int> rename_clause(n, -1);
+  for (int p = 0; p < n; ++p) {
+    if (!IsIdb(p) || p == goal_ || clauses_for_[p].size() != 1) continue;
+    const NdlClause& clause = clauses_[clauses_for_[p][0]];
+    if (clause.body.size() != 1) continue;
+    const NdlAtom& body = clause.body[0];
+    const PredicateKind kind = predicates_[body.predicate].kind;
+    if (kind == PredicateKind::kEquality || kind == PredicateKind::kAdom ||
+        body.predicate == p || body.args.size() != clause.head.args.size() ||
+        !DistinctVariables(body) || !DistinctVariables(clause.head)) {
+      continue;
+    }
+    bool permutation = true;
+    for (const Term& t : clause.head.args) {
+      bool found = false;
+      for (const Term& b : body.args) found = found || b.value == t.value;
+      permutation = permutation && found;
+    }
+    if (permutation) rename_clause[p] = clauses_for_[p][0];
+  }
+  // Roots: follow each chain of candidates to its first non-candidate.  A
+  // chain that closes a cycle (a recursive program) has no root, so none of
+  // its members is a rename.
+  renames_.root.assign(n, -1);
+  std::vector<char> state(n, 0);  // 0 unvisited, 1 on the walk, 2 resolved.
+  std::vector<int> path;
+  for (int p = 0; p < n; ++p) {
+    if (rename_clause[p] < 0 || state[p] != 0) continue;
+    path.clear();
+    int q = p;
+    while (rename_clause[q] >= 0 && state[q] == 0) {
+      state[q] = 1;
+      path.push_back(q);
+      q = clauses_[rename_clause[q]].body[0].predicate;
+    }
+    int root = -1;
+    if (rename_clause[q] < 0) {
+      root = q;
+    } else if (state[q] == 2) {
+      root = renames_.root[q];
+    }
+    for (int member : path) {
+      renames_.root[member] = root;
+      state[member] = 2;
+    }
+  }
+  renames_.resolved.clear();
+  renames_.resolved_slot.assign(clauses_.size(), -1);
+  for (size_t ci = 0; ci < clauses_.size(); ++ci) {
+    const std::vector<NdlAtom>& body = clauses_[ci].body;
+    if (std::none_of(body.begin(), body.end(), [&](const NdlAtom& atom) {
+          return renames_.root[atom.predicate] >= 0;
+        })) {
+      continue;
+    }
+    NdlClause clause = clauses_[ci];
+    for (NdlAtom& atom : clause.body) {
+      while (renames_.root[atom.predicate] >= 0) {
+        atom = ThroughRename(
+            clauses_[clauses_for_[atom.predicate][0]], atom);
+      }
+    }
+    renames_.resolved_slot[ci] = static_cast<int>(renames_.resolved.size());
+    renames_.resolved.push_back(std::move(clause));
+  }
+  renames_valid_ = true;
+  return renames_;
 }
 
 std::vector<std::vector<int>> NdlProgram::TopologicalLevels() const {

@@ -58,6 +58,26 @@ struct PredicateInfo {
   std::vector<bool> parameter_positions;
 };
 
+// Rename predicates of a program (see NdlProgram::Renames()).  A rename is
+// an IDB predicate other than the goal defined by exactly one clause
+//   P(x_p(1), ..., x_p(k)) <- S(x_1, ..., x_k)
+// whose body is a single atom over an IDB, concept, role or table predicate
+// with pairwise distinct variables, and whose head is a permutation of those
+// variables at the same arity: P's extension is S's, its columns permuted,
+// with the same size and the same row order.  Chains (P <- Q <- S) resolve
+// to their root, the first predicate along the chain that is not a rename.
+struct RenameAnalysis {
+  // root[p]: the root predicate of rename p, or -1 when p is not a rename.
+  std::vector<int> root;
+  // resolved_slot[ci]: where clause ci's resolved form is in `resolved`, or
+  // -1 when its body reads no rename (the clause is its own resolved form).
+  std::vector<int> resolved_slot;
+  // The clauses that read a rename, each with every body atom over a rename
+  // replaced by the equivalent atom over that rename's root (arguments
+  // permuted); the head and the atom count and order are unchanged.
+  std::vector<NdlClause> resolved;
+};
+
 // A (nonrecursive) datalog program together with a goal predicate, i.e. an
 // NDL query (Pi, G(x)).  The program does not enforce nonrecursiveness at
 // construction; `IsNonrecursive()` checks it.
@@ -94,7 +114,10 @@ class NdlProgram {
   // Replaces the clause list wholesale (used by transforms).
   void ReplaceClauses(std::vector<NdlClause> clauses);
 
-  void SetGoal(int predicate) { goal_ = predicate; }
+  void SetGoal(int predicate) {
+    goal_ = predicate;
+    renames_valid_ = false;  // The goal is never a rename.
+  }
   int goal() const { return goal_; }
 
   // --- Analysis -----------------------------------------------------------
@@ -112,6 +135,13 @@ class NdlProgram {
   // edges dropped; empty for non-IDB p).  This is the edge set the
   // evaluator's DAG scheduler runs on; cached until the clauses change.
   const std::vector<std::vector<int>>& IdbDependencies() const;
+  // The program's rename predicates and every clause's body with renames
+  // resolved to their roots (see RenameAnalysis).  Cached until the clauses,
+  // the predicates or the goal change; like the caches above, compute it
+  // before sharing the program across threads.  The evaluator plans joins
+  // over the resolved bodies, so renames are read as views of their roots
+  // instead of being copied.
+  const RenameAnalysis& Renames() const;
   // IDB predicates grouped into dependence levels: level k holds predicates
   // whose longest IDB-dependency chain has length k.  Predicates within one
   // level are independent and can be materialised in parallel (the NC-style
@@ -150,6 +180,8 @@ class NdlProgram {
   mutable bool topo_order_valid_ = false;
   mutable std::vector<std::vector<int>> idb_deps_;     // Lazy (see above).
   mutable bool idb_deps_valid_ = false;
+  mutable RenameAnalysis renames_;                     // Lazy (see above).
+  mutable bool renames_valid_ = false;
   int goal_ = -1;
 
   void BuildClauseIndex() const;

@@ -3,8 +3,9 @@
 
 // White-box access to Engine internals for tests that pin down behaviour
 // the public surface deliberately hides: the incremental path's forward
-// re-pin and the in-flight coalescing table.  Defined ONCE here (Engine
-// befriends exactly this class) so every test TU shares one definition.
+// re-pin, the in-flight coalescing table and the governor's slots.  Defined
+// ONCE here (Engine befriends exactly this class) so every test TU shares
+// one definition.
 
 #include <memory>
 
@@ -24,6 +25,12 @@ class EngineTestPeer {
 
   static size_t InFlightSize(const Engine& engine) {
     return engine.inflight_.size();
+  }
+
+  // Takes one of the engine's execution slots, as an admitted Execute
+  // would, and holds it until the returned admission is destroyed.
+  static QueryGovernor::Admission HoldSlot(const Engine& engine) {
+    return engine.governor_.Admit();
   }
 };
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <thread>
 
+#include "engine_test_peer.h"
 #include "server/api.h"
 #include "server/client.h"
 #include "server/registry.h"
@@ -115,6 +116,49 @@ TEST_F(HttpServerTest, ExecuteRoundTripsThroughTheClient) {
   ASSERT_EQ(result.answers.size(), 2u);
   EXPECT_EQ(result.snapshot_version, 1u);
   EXPECT_GT(result.goal_tuples, 0);
+}
+
+// Admission sheds deterministically: with the tenant's only execution slot
+// held, an execute that may not queue is answered 429 at once, and the body
+// is still a full execute result with status REJECTED.
+TEST_F(HttpServerTest, ShedsWhenTheSlotIsHeld) {
+  server::RegistryOptions registry_options;
+  registry_options.max_tenants = 1;
+  registry_options.process_slots = 1;
+  server::EngineRegistry registry(registry_options);
+  std::shared_ptr<server::Tenant> tenant;
+  ASSERT_TRUE(
+      registry.RegisterParsed("uni", kOntology, kData, &tenant).ok());
+  api::Service service(&registry);
+  server::HttpServer http(&service, server::HttpServerOptions{});
+  ASSERT_TRUE(http.Start().ok());
+  server::HttpClient client("127.0.0.1", http.port());
+  api::WireExecuteRequest request;
+  request.query = kQuery;
+  request.exec.queue_timeout_ms = 0;
+  const std::string body_json = api::ExecuteRequestToJson(request);
+  {
+    QueryGovernor::Admission held =
+        EngineTestPeer::HoldSlot(*tenant->engine());
+    ASSERT_TRUE(held.admitted());
+    int status = 0;
+    std::string body;
+    ASSERT_TRUE(client.Post(ExecutePath(), body_json, &status, &body).ok());
+    EXPECT_EQ(status, 429);
+    JsonValue parsed;
+    ASSERT_TRUE(JsonValue::Parse(body, &parsed)) << body;
+    api::WireExecuteResult result;
+    ASSERT_TRUE(api::ExecuteResultFromJson(parsed, &result).ok()) << body;
+    EXPECT_EQ(result.status.code(), StatusCode::kRejected);
+    EXPECT_TRUE(result.answers.empty());
+  }
+  // The slot is free again: the same request is admitted and answered.
+  int status = 0;
+  std::string body;
+  ASSERT_TRUE(client.Post(ExecutePath(), body_json, &status, &body).ok());
+  EXPECT_EQ(status, 200) << body;
+  EXPECT_EQ(tenant->engine()->governor_counters().rejected(), 1);
+  http.Stop();
 }
 
 // A body larger than the loopback send buffer's 4 MB ceiling: the server

@@ -94,6 +94,116 @@ TEST(NdlProgramTest, WidthWithParameters) {
   EXPECT_EQ(program.Width(), 1);
 }
 
+// Adds the clause head <- body to `program`.
+void AddRule(NdlProgram* program, NdlAtom head, std::vector<NdlAtom> body) {
+  NdlClause c;
+  c.head = std::move(head);
+  c.body = std::move(body);
+  program->AddClause(std::move(c));
+}
+
+TEST(RenameAnalysisTest, OnlyPermutedCopiesOfOneRegularAtomAreRenames) {
+  Vocabulary vocab;
+  NdlProgram program(&vocab);
+  const Term x = Term::Var(0), y = Term::Var(1);
+  const Term c = Term::Const(vocab.InternIndividual("c"));
+  const int r = program.AddRolePredicate(vocab.InternPredicate("R"));
+  const int s = program.AddRolePredicate(vocab.InternPredicate("S"));
+  const int a = program.AddConceptPredicate(vocab.InternConcept("A"));
+  const int goal = program.AddIdbPredicate("G", 2);
+  const int copy = program.AddIdbPredicate("Copy", 2);
+  const int concept_copy = program.AddIdbPredicate("ConceptCopy", 1);
+  const int repeated = program.AddIdbPredicate("Repeated", 2);
+  const int constant = program.AddIdbPredicate("Constant", 2);
+  const int equality = program.AddIdbPredicate("Equality", 2);
+  const int adom = program.AddIdbPredicate("Adom", 1);
+  const int projection = program.AddIdbPredicate("Projection", 1);
+  const int two_clauses = program.AddIdbPredicate("TwoClauses", 2);
+  const int two_atoms = program.AddIdbPredicate("TwoAtoms", 2);
+  AddRule(&program, {goal, {x, y}}, {{r, {x, y}}});
+  AddRule(&program, {copy, {x, y}}, {{r, {x, y}}});
+  AddRule(&program, {concept_copy, {x}}, {{a, {x}}});
+  AddRule(&program, {repeated, {x, x}}, {{r, {x, x}}});
+  AddRule(&program, {constant, {x, c}}, {{r, {x, c}}});
+  AddRule(&program, {equality, {x, y}},
+          {{program.EqualityPredicate(), {x, y}}});
+  AddRule(&program, {adom, {x}}, {{program.AdomPredicate(), {x}}});
+  AddRule(&program, {projection, {x}}, {{r, {x, y}}});
+  AddRule(&program, {two_clauses, {x, y}}, {{r, {x, y}}});
+  AddRule(&program, {two_clauses, {x, y}}, {{s, {x, y}}});
+  AddRule(&program, {two_atoms, {x, y}}, {{r, {x, y}}, {s, {x, y}}});
+  program.SetGoal(goal);
+
+  const std::vector<int>& root = program.Renames().root;
+  ASSERT_EQ(root.size(), static_cast<size_t>(program.num_predicates()));
+  EXPECT_EQ(root[copy], r);
+  EXPECT_EQ(root[concept_copy], a);
+  for (int p : {goal, repeated, constant, equality, adom, projection,
+                two_clauses, two_atoms, r, s, a}) {
+    EXPECT_EQ(root[p], -1) << program.predicate(p).name;
+  }
+  // The goal is always materialised; a new goal frees the old one.
+  program.SetGoal(copy);
+  EXPECT_EQ(program.Renames().root[goal], r);
+  EXPECT_EQ(program.Renames().root[copy], -1);
+}
+
+TEST(RenameAnalysisTest, ChainsResolveToTheRootWithArgumentsPermuted) {
+  Vocabulary vocab;
+  NdlProgram program(&vocab);
+  const Term x = Term::Var(0), y = Term::Var(1), z = Term::Var(2);
+  const int r = program.AddRolePredicate(vocab.InternPredicate("R"));
+  const int star = program.AddIdbPredicate("R*", 2);
+  const int b = program.AddIdbPredicate("B", 2);
+  const int a = program.AddIdbPredicate("A", 2);
+  const int g = program.AddIdbPredicate("G", 2);
+  // R*(x, y) <- R(x, y) & R(y, z) is a join, so the chain's root is R*.
+  AddRule(&program, {star, {x, y}}, {{r, {x, y}}, {r, {y, z}}});
+  AddRule(&program, {b, {x, y}}, {{star, {y, x}}});  // Swapped arguments.
+  AddRule(&program, {a, {x, y}}, {{b, {x, y}}});     // A <- B <- R*.
+  AddRule(&program, {g, {x, z}}, {{a, {x, y}}, {b, {z, y}}});
+  program.SetGoal(g);
+
+  const RenameAnalysis& renames = program.Renames();
+  EXPECT_EQ(renames.root[star], -1);
+  EXPECT_EQ(renames.root[b], star);
+  EXPECT_EQ(renames.root[a], star);
+  EXPECT_EQ(renames.root[g], -1);
+  // G(x, z) <- A(x, y) & B(z, y) reads R*(y, x) & R*(y, z).
+  // Only clauses that read a rename are rewritten: R*'s join reads none.
+  EXPECT_EQ(renames.resolved_slot[0], -1);
+  ASSERT_GE(renames.resolved_slot[3], 0);
+  const NdlClause& resolved = renames.resolved[renames.resolved_slot[3]];
+  ASSERT_EQ(resolved.body.size(), 2u);
+  EXPECT_EQ(resolved.head.predicate, g);
+  EXPECT_EQ(resolved.body[0].predicate, star);
+  EXPECT_EQ(resolved.body[0].args, (std::vector<Term>{y, x}));
+  EXPECT_EQ(resolved.body[1].predicate, star);
+  EXPECT_EQ(resolved.body[1].args, (std::vector<Term>{y, z}));
+  // The program itself is unchanged.
+  EXPECT_EQ(program.clause(3).body[0].predicate, a);
+
+  // Evaluated as views: the same answers and counts as the copies.
+  DataInstance data(&vocab);
+  const int role = vocab.InternPredicate("R");
+  const int i0 = data.AddIndividual("i0"), i1 = data.AddIndividual("i1"),
+            i2 = data.AddIndividual("i2");
+  data.AddRoleAssertion(role, i0, i1);
+  data.AddRoleAssertion(role, i1, i2);
+  data.AddRoleAssertion(role, i2, i0);
+  data.AddRoleAssertion(role, i1, i0);
+  Evaluator eval(program, DataSnapshot::FromInstance(data));
+  const ExecuteResult result = eval.Run(ExecuteRequest{});
+  const long star_rows = result.stats.predicate_tuples[star];
+  EXPECT_EQ(star_rows, 4);
+  EXPECT_EQ(result.stats.predicate_tuples[b], star_rows);
+  EXPECT_EQ(result.stats.predicate_tuples[a], star_rows);
+  // G(x, z): x and z are R*-successors of one y.
+  EXPECT_EQ(result.answers,
+            (std::vector<std::vector<int>>{
+                {i0, i0}, {i0, i2}, {i1, i1}, {i2, i0}, {i2, i2}}));
+}
+
 TEST(EvaluatorTest, ChainJoin) {
   Vocabulary vocab;
   NdlProgram program = ChainProgram(&vocab);

@@ -165,16 +165,17 @@ for name, code in (("badbody", "INVALID_ARGUMENT"), ("ghost", "NOT_FOUND")):
 EOF
 [ $? -eq 0 ] || exit 1
 
-# Overload: 8 parallel executes against 1 slot and a 5 ms queue budget --
-# some must be shed as 429, and every 429 body must still be a full execute
-# result with status REJECTED.
+# Overload: 8 parallel executes against 1 slot, each sent with a queue
+# budget of 0 (never wait for the slot) -- those that arrive while another
+# holds it must be shed as 429, and every 429 body must still be a full
+# execute result with status REJECTED.
 k=0
 LOAD_PIDS=""
 while [ $k -lt 8 ]; do
   # Unique limits defeat the answer cache and coalescing, so every request
   # competes for the slot.
   request "load$k" POST /v1/t/default/execute \
-      "{\"query\": \"$QUERY\", \"limits\": {\"max_generated_tuples\": $((9000000 + k))}}" &
+      "{\"query\": \"$QUERY\", \"queue_timeout_ms\": 0, \"limits\": {\"max_generated_tuples\": $((9000000 + k))}}" &
   LOAD_PIDS="$LOAD_PIDS $!"
   k=$((k + 1))
 done
